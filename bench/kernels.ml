@@ -5,8 +5,8 @@
      figures (7, 8, 10, 11): simplex LP solve, symmetry grouping,
      formulation build, model compile, and a full phase-1 solve.
    - Direct wall-clock benchmarks of the LP/MIP hot path on the Table-1
-     scenario sizes: LP pivots/sec under full-Dantzig vs candidate-list
-     pricing and under the dense-inverse vs LU+eta basis backends, and
+     scenario sizes: LP pivots/sec under full-Dantzig vs Devex pricing
+     and under the dense-inverse vs LU+eta basis backends, and
      branch-and-bound nodes/sec in three generations — cold-started
      (the seed implementation's behaviour), warm-started with primal
      restarts on the dense inverse (PR 1), and warm-started with
@@ -104,13 +104,13 @@ let size_of (std : Model.std) = Printf.sprintf "nvars=%d nrows=%d" std.Model.nva
 
 let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
   let ws = Simplex.create_workspace () in
-  let run pricing backend kernels =
+  let run pricing backend =
     let t0 = Unix.gettimeofday () in
     let iters = ref 0 in
     let status = ref "?" and obj = ref nan in
     let ks = ref { Simplex.avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0; bound_flips = 0 } in
     for _ = 1 to repeats do
-      match Simplex.solve ~pricing ~backend ~kernels ~ws std with
+      match Simplex.solve ~pricing ~backend ~ws std with
       | Simplex.Optimal { iterations; obj = o; kstats; _ } ->
         iters := !iters + iterations;
         obj := o;
@@ -126,8 +126,8 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
   let rates = Hashtbl.create 4 and objs = Hashtbl.create 4 in
   let pivots = Hashtbl.create 4 and walls = Hashtbl.create 4 in
   List.iter
-    (fun (mode, pricing, backend, kernels) ->
-      let dt, iters, status, obj, ks = run pricing backend kernels in
+    (fun (mode, pricing, backend) ->
+      let dt, iters, status, obj, ks = run pricing backend in
       let name = Printf.sprintf "lp-%s-%s" label mode in
       let rate = float_of_int iters /. dt in
       Hashtbl.replace rates mode rate;
@@ -149,48 +149,17 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
           ("bound_flips", string_of_int ks.Simplex.bound_flips);
         ])
     ([
-       ("dantzig-pricing", Simplex.Dantzig, Ras_mip.Basis.Lu, Ras_mip.Basis.Hypersparse);
-       ("partial-pricing", Simplex.Partial, Ras_mip.Basis.Lu, Ras_mip.Basis.Hypersparse);
-       ("devex-pricing", Simplex.Devex, Ras_mip.Basis.Lu, Ras_mip.Basis.Hypersparse);
+       ("dantzig-pricing", Simplex.Dantzig, Ras_mip.Basis.Lu);
+       ("devex-pricing", Simplex.Devex, Ras_mip.Basis.Lu);
      ]
-    @ (if with_dense then
-         [ ("dense-inverse", Simplex.Partial, Ras_mip.Basis.Dense, Ras_mip.Basis.Hypersparse) ]
-       else [])
-    @ [ ("dense-oracle-kernels", Simplex.Devex, Ras_mip.Basis.Lu, Ras_mip.Basis.Dense_oracle) ]);
-  (* sparse-vs-dense kernels: same pricing, same LU factors — only the
-     triangular-solve traversal differs, so the pivot counts must be
-     identical (the differential pin) and the speedup is pure kernel
-     win. *)
-  let sp_wall = Hashtbl.find walls "devex-pricing" in
-  let dk_wall = Hashtbl.find walls "dense-oracle-kernels" in
-  let sp_piv = Hashtbl.find pivots "devex-pricing" in
-  let dk_piv = Hashtbl.find pivots "dense-oracle-kernels" in
-  let sp_obj = Hashtbl.find objs "devex-pricing" in
-  let dk_obj = Hashtbl.find objs "dense-oracle-kernels" in
-  let kernels_obj_agree =
-    (Float.is_nan sp_obj && Float.is_nan dk_obj)
-    || Float.abs (sp_obj -. dk_obj) <= 1e-9 *. Float.max 1.0 (Float.abs dk_obj)
-  in
-  Report.row "%-34s %.2fx wall speedup, pivots equal: %b, objectives agree: %b\n"
-    (Printf.sprintf "lp-%s sparse-vs-dense-kernels" label)
-    (dk_wall /. sp_wall) (sp_piv = dk_piv) kernels_obj_agree;
-  record
-    ~kernel:(Printf.sprintf "lp-%s-sparse-vs-dense-kernels" label)
-    ~size:(size_of std) ~wall_s:0.0
-    [
-      ("wall_speedup", flt (dk_wall /. sp_wall));
-      ("pivots_equal", string_of_bool (sp_piv = dk_piv));
-      ("objectives_agree", string_of_bool kernels_obj_agree);
-      ("sparse_pivots", string_of_int sp_piv);
-      ("dense_oracle_pivots", string_of_int dk_piv);
-    ];
+    @ if with_dense then [ ("dense-inverse", Simplex.Devex, Ras_mip.Basis.Dense) ] else []);
   (* eta-vs-dense: same pricing scheme, the basis backend is the only
      difference.  The dense inverse refactorizes in O(m^3), so this variant
      only runs where [with_dense] allows it. *)
   if with_dense then begin
-    let lu_rate = Hashtbl.find rates "partial-pricing" in
+    let lu_rate = Hashtbl.find rates "devex-pricing" in
     let dn_rate = Hashtbl.find rates "dense-inverse" in
-    let lu_obj = Hashtbl.find objs "partial-pricing" in
+    let lu_obj = Hashtbl.find objs "devex-pricing" in
     let dn_obj = Hashtbl.find objs "dense-inverse" in
     let obj_agree =
       (Float.is_nan lu_obj && Float.is_nan dn_obj)
@@ -209,26 +178,23 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
   end;
   (* pricing-rule comparison on the same (LU) backend: total pivot counts,
      not just rates, so iteration-count claims live in the JSON.  The
-     acceptance ratio is pivots(devex)/pivots(partial): < 1 means Devex
-     saved pivots over the windowed Dantzig scan. *)
+     acceptance ratio is pivots(devex)/pivots(dantzig): < 1 means Devex
+     saved pivots over the full Dantzig scan. *)
   let zp = Hashtbl.find pivots "dantzig-pricing" in
-  let pp = Hashtbl.find pivots "partial-pricing" in
   let dp = Hashtbl.find pivots "devex-pricing" in
   let ratio num den = float_of_int num /. float_of_int (max 1 den) in
-  Report.row "%-34s pivots dantzig=%d partial=%d devex=%d (devex/partial %.3f)\n"
+  Report.row "%-34s pivots dantzig=%d devex=%d (devex/dantzig %.3f)\n"
     (Printf.sprintf "lp-%s pricing-rules" label)
-    zp pp dp (ratio dp pp);
+    zp dp (ratio dp zp);
   record
-    ~kernel:(Printf.sprintf "lp-%s-devex-vs-partial-vs-dantzig" label)
+    ~kernel:(Printf.sprintf "lp-%s-devex-vs-dantzig" label)
     ~size:(size_of std) ~wall_s:0.0
     [
       ("dantzig_pivots", string_of_int zp);
-      ("partial_pivots", string_of_int pp);
       ("devex_pivots", string_of_int dp);
-      ("pivot_ratio_devex_over_partial", flt (ratio dp pp));
       ("pivot_ratio_devex_over_dantzig", flt (ratio dp zp));
-      ( "pivots_per_sec_ratio_devex_over_partial",
-        flt (Hashtbl.find rates "devex-pricing" /. Hashtbl.find rates "partial-pricing") );
+      ( "pivots_per_sec_ratio_devex_over_dantzig",
+        flt (Hashtbl.find rates "devex-pricing" /. Hashtbl.find rates "dantzig-pricing") );
     ]
 
 (* ---------------------------------------------------------------- *)
@@ -299,34 +265,7 @@ let bb_kernel ~label ~node_limit ~time_limit ?(with_dense = true) (std : Model.s
     in
     speedup "warm-vs-cold" dual_rate cold_rate (agree cold dual);
     speedup "dual-vs-primal" dual_rate primal_rate (agree primal dual)
-  end;
-  (* Devex weights across warm restarts: carry the parent's reference
-     framework into the child vs reset it — the ISSUE asks for both to be
-     measured.  Same search tree either way (pricing changes pivot order
-     inside each node LP, not the node sequence, when both find optima). *)
-  let carry, carry_rate =
-    run
-      (Printf.sprintf "bb-%s-devex-carry" label)
-      { base with Branch_bound.lp_devex_carry = true }
-  in
-  let reset, reset_rate =
-    run
-      (Printf.sprintf "bb-%s-devex-reset" label)
-      { base with Branch_bound.lp_devex_carry = false }
-  in
-  Report.row "%-34s %.2fx nodes/s (carry/reset), pivots carry=%d reset=%d, bounds agree: %b\n"
-    (Printf.sprintf "bb-%s devex-carry-vs-reset" label)
-    (carry_rate /. reset_rate) carry.Branch_bound.lp_iterations
-    reset.Branch_bound.lp_iterations (agree carry reset);
-  record
-    ~kernel:(Printf.sprintf "bb-%s-devex-carry-vs-reset" label)
-    ~size:(size_of std) ~wall_s:0.0
-    [
-      ("nodes_per_sec_ratio", flt (carry_rate /. reset_rate));
-      ("carry_lp_pivots", string_of_int carry.Branch_bound.lp_iterations);
-      ("reset_lp_pivots", string_of_int reset.Branch_bound.lp_iterations);
-      ("bounds_agree", string_of_bool (agree carry reset));
-    ]
+  end
 
 (* ---------------------------------------------------------------- *)
 (* POP decomposition kernel: monolith vs k concurrent partitions     *)
@@ -578,7 +517,7 @@ let reactive_restore_kernel ~label ~events preset =
     List.iter
       (fun (id, res) ->
         ignore
-          (Ras.Online_mover.find_replacement_reference mover res
+          (Oracles.find_replacement_reference broker mover res
              ~failed_hw:region.Region.servers.(id).Region.hw.Ras_topology.Hardware.index))
       victims;
     let scan_s = Unix.gettimeofday () -. t0 in

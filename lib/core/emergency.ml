@@ -1,6 +1,4 @@
 module Broker = Ras_broker.Broker
-module Region = Ras_topology.Region
-module Hw = Ras_topology.Hardware
 
 type grant = Reactive.grant = {
   requested_rru : float;
@@ -10,81 +8,7 @@ type grant = Reactive.grant = {
   visited : int;
 }
 
-(* The original full-scan grant, kept verbatim (modulo the [visited]
-   counter) as the differential oracle for the columnar and reactive paths:
-   it iterates every server per source even after the request is covered,
-   materializing a record each time. *)
-let grant_reference broker ~reservation ~rru ~allow_buffer =
-  let owner = Broker.Reservation reservation.Reservation.id in
-  let granted = ref 0.0 and servers = ref [] and from_buffer = ref 0 and visited = ref 0 in
-  let try_take ~source =
-    Broker.iter broker ~f:(fun r ->
-        incr visited;
-        if !granted < rru && r.Broker.current = source && Broker.healthy r && not r.Broker.in_use
-        then begin
-          let v = reservation.Reservation.rru_of r.Broker.server.Region.hw in
-          if v > 0.0 then begin
-            let id = r.Broker.server.Region.id in
-            Broker.move broker id owner;
-            Broker.set_target broker id owner;
-            granted := !granted +. v;
-            servers := id :: !servers;
-            if source = Broker.Shared_buffer then incr from_buffer
-          end
-        end)
-  in
-  try_take ~source:Broker.Free;
-  if !granted < rru && allow_buffer then try_take ~source:Broker.Shared_buffer;
-  {
-    requested_rru = rru;
-    granted_rru = !granted;
-    servers = List.rev !servers;
-    took_from_buffer = !from_buffer;
-    visited = !visited;
-  }
-
-let code_free = Broker.owner_code Broker.Free
-let code_buffer = Broker.owner_code Broker.Shared_buffer
-
-let grant ?reactive broker ~reservation ~rru ~allow_buffer =
-  match reactive with
-  | Some ri -> Reactive.grant ri ~reservation ~rru ~allow_buffer
-  | None ->
-    (* columnar scan, terminating as soon as the request is covered: same
-       grants as {!grant_reference} (ascending id, free pool first) without
-       the per-server record builds or the post-coverage tail *)
-    let owner = Broker.Reservation reservation.Reservation.id in
-    let region = Broker.region broker in
-    let n = Broker.num_servers broker in
-    let rru_by_hw = Array.map reservation.Reservation.rru_of Hw.catalog in
-    let granted = ref 0.0 and servers = ref [] and from_buffer = ref 0 and visited = ref 0 in
-    let try_take ~code ~buffer =
-      let id = ref 0 in
-      while !granted < rru && !id < n do
-        incr visited;
-        if
-          Broker.current_code broker !id = code
-          && Broker.healthy_at broker !id
-          && not (Broker.in_use_at broker !id)
-        then begin
-          let v = rru_by_hw.(region.Region.servers.(!id).Region.hw.Hw.index) in
-          if v > 0.0 then begin
-            Broker.move broker !id owner;
-            Broker.set_target broker !id owner;
-            granted := !granted +. v;
-            servers := !id :: !servers;
-            if buffer then incr from_buffer
-          end
-        end;
-        incr id
-      done
-    in
-    try_take ~code:code_free ~buffer:false;
-    if !granted < rru && allow_buffer then try_take ~code:code_buffer ~buffer:true;
-    {
-      requested_rru = rru;
-      granted_rru = !granted;
-      servers = List.rev !servers;
-      took_from_buffer = !from_buffer;
-      visited = !visited;
-    }
+let grant ~reactive broker ~reservation ~rru ~allow_buffer =
+  if Reactive.broker reactive != broker then
+    invalid_arg "Emergency.grant: reactive index is bound to a different broker";
+  Reactive.grant reactive ~reservation ~rru ~allow_buffer

@@ -9,24 +9,20 @@
     The grant policy is deliberately simple (free pool first, then the
     shared buffer): quality comes later, from the solver.  What must {e not}
     be simple is the cost: a grant is an event-path operation, so scanning
-    every server per grant is a bug at region scale.  {!grant} either walks
-    the broker columns with early termination, or — given a tier-1
-    {!Reactive} index — picks servers in O(affected classes) guided by the
-    last solve's dual prices. *)
+    every server per grant is a bug at region scale.  {!grant} picks
+    servers from a tier-1 {!Reactive} index in O(affected classes), guided
+    by the last solve's dual prices. *)
 
 type grant = Reactive.grant = {
   requested_rru : float;
   granted_rru : float;
   servers : int list;
   took_from_buffer : int;  (** servers pulled from the shared buffer *)
-  visited : int;
-      (** candidate servers examined: O(grant size) on the columnar path,
-          O(classes + grant size) on the reactive path, O(region) for the
-          reference oracle *)
+  visited : int;  (** candidate servers examined: O(grant size) *)
 }
 
 val grant :
-  ?reactive:Reactive.t ->
+  reactive:Reactive.t ->
   Ras_broker.Broker.t ->
   reservation:Reservation.t ->
   rru:float ->
@@ -38,19 +34,6 @@ val grant :
     dangerous, and exactly the "dipping into buffers" §5.3 warns about, so
     callers must opt in.
 
-    Without [?reactive]: a columnar scan in ascending server id that stops
-    as soon as the request is covered — grant-for-grant identical to
-    {!grant_reference}.  With [?reactive]: delegates to {!Reactive.grant},
-    which drains the cheapest-priced (msb, hw) buckets first; the served
-    set may legitimately differ from the scan order while granting the same
-    RRU. *)
-
-val grant_reference :
-  Ras_broker.Broker.t ->
-  reservation:Reservation.t ->
-  rru:float ->
-  allow_buffer:bool ->
-  grant
-(** The original O(servers) full-scan implementation, retained as the
-    differential oracle (the {!Symmetry.build_reference} pattern): tests
-    pin {!grant} against it on cloned brokers. *)
+    Delegates to {!Reactive.grant}: free pool first, then the buffer,
+    cheapest-priced (msb, hw) buckets first.  Raises [Invalid_argument]
+    when [reactive] is bound to a broker other than [broker]. *)

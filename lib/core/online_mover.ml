@@ -9,7 +9,7 @@ type apply_stats = { moved_in_use : int; moved_unused : int; skipped_unavailable
 type t = {
   broker : Broker.t;
   engine : Engine.t option;
-  reactive : Reactive.t option;
+  reactive : Reactive.t;
   mutable reservations : Reservation.t list;
   loans : (int, Broker.owner) Hashtbl.t;  (* lent server -> home owner *)
   mutable preempt : int -> unit;
@@ -38,51 +38,9 @@ let do_move t id owner =
     Broker.move t.broker id owner
   end
 
-(* The original replacement search, kept verbatim as the differential oracle
-   for the columnar and reactive paths: one full record-building broker scan
-   per failure event. *)
-let find_replacement_reference t res ~failed_hw =
-  let candidate_score (r : Broker.record) ~lent =
-    (* a lent server may be reclaimed even while running opportunistic
-       containers — that is the elastic contract (§3.4) *)
-    if (not (Broker.healthy r)) || (r.Broker.in_use && not lent) then None
-    else begin
-      let hw = r.Broker.server.Region.hw in
-      if res.Reservation.rru_of hw <= 0.0 then None
-      else begin
-        let same_subtype = hw.Ras_topology.Hardware.index = failed_hw in
-        Some
-          ( (if same_subtype then 0 else 1),
-            (if lent then 1 else 0),
-            (if r.Broker.in_use then 1 else 0),
-            r.Broker.server.Region.id )
-      end
-    end
-  in
-  let best = ref None in
-  Broker.iter t.broker ~f:(fun r ->
-      let id = r.Broker.server.Region.id in
-      let scored =
-        match r.Broker.current with
-        | Broker.Shared_buffer -> candidate_score r ~lent:false
-        | Broker.Elastic _ when Hashtbl.find_opt t.loans id = Some Broker.Shared_buffer ->
-          candidate_score r ~lent:true
-        | Broker.Free | Broker.Reservation _ | Broker.Elastic _ -> None
-      in
-      match scored with
-      | Some score -> (
-        match !best with
-        | Some (s, _) when s <= score -> ()
-        | _ -> best := Some (score, id))
-      | None -> ());
-  Option.map snd !best
-
-let code_buffer = Broker.owner_code Broker.Shared_buffer
-
 (* Best revocable loan whose home is the shared buffer: O(outstanding
-   loans), which both the columnar and the reactive paths share as their
-   elastic fallback.  Scored with the legacy tuple so preference classes
-   match the reference exactly. *)
+   loans), the elastic fallback of the replacement search.  Scored with the
+   legacy tuple so preference classes match the reference exactly. *)
 let best_lent_candidate t res ~failed_hw =
   let region = Broker.region t.broker in
   let best = ref None in
@@ -108,42 +66,16 @@ let best_lent_candidate t res ~failed_hw =
     t.loans;
   !best
 
-(* Columnar replacement search: same candidates and scoring as the
-   reference, reading the broker columns instead of materializing records.
-   Shared-buffer servers come from the column scan; lent servers from the
-   loan table. *)
-let find_replacement_scan t res ~failed_hw =
-  let region = Broker.region t.broker in
-  let n = Broker.num_servers t.broker in
-  let rru_by_hw = Array.map res.Reservation.rru_of Hw.catalog in
-  let best = ref (best_lent_candidate t res ~failed_hw) in
-  for id = 0 to n - 1 do
-    if
-      Broker.current_code t.broker id = code_buffer
-      && Broker.healthy_at t.broker id
-      && not (Broker.in_use_at t.broker id)
-    then begin
-      let hwi = region.Region.servers.(id).Region.hw.Hw.index in
-      if rru_by_hw.(hwi) > 0.0 then begin
-        let score = ((if hwi = failed_hw then 0 else 1), 0, 0, id) in
-        match !best with
-        | Some (s, _) when s <= score -> ()
-        | _ -> best := Some (score, id)
-      end
-    end
-  done;
-  Option.map snd !best
-
 (* Tier-1 replacement: the reactive index answers the shared-buffer side in
    O(classes); the elastic fallback stays O(loans).  The two candidates are
    compared with the legacy tuple, so the preference class (same subtype
    first, buffer before loans, idle before in-use) is identical to the
-   reference — only the tie-break inside a class differs (dual price
-   instead of lowest id). *)
-let find_replacement_reactive t ri res ~failed_hw =
+   full-scan reference — only the tie-break inside a class differs (dual
+   price instead of lowest id). *)
+let find_replacement t res ~failed_hw =
   let region = Broker.region t.broker in
   let from_buffer =
-    match Reactive.find_replacement ri res ~failed_hw with
+    match Reactive.find_replacement t.reactive res ~failed_hw with
     | None -> None
     | Some id ->
       let hwi = region.Region.servers.(id).Region.hw.Hw.index in
@@ -153,11 +85,6 @@ let find_replacement_reactive t ri res ~failed_hw =
   | Some (s1, id1), Some (s2, id2) -> Some (if s1 <= s2 then id1 else id2)
   | Some (_, id), None | None, Some (_, id) -> Some id
   | None, None -> None
-
-let find_replacement t res ~failed_hw =
-  match t.reactive with
-  | Some ri -> find_replacement_reactive t ri res ~failed_hw
-  | None -> find_replacement_scan t res ~failed_hw
 
 let replace_failed t id =
   let r = Broker.record t.broker id in
@@ -182,6 +109,13 @@ let replace_failed t id =
   | Broker.Free | Broker.Shared_buffer | Broker.Elastic _ -> ()
 
 let create ?engine ?reactive broker =
+  let reactive =
+    match reactive with
+    | Some ri when Reactive.broker ri != broker ->
+      invalid_arg "Online_mover.create: reactive index is bound to a different broker"
+    | Some ri -> ri
+    | None -> Reactive.create broker
+  in
   let t =
     {
       broker;
@@ -194,10 +128,6 @@ let create ?engine ?reactive broker =
       replacements_failed = 0;
     }
   in
-  (match reactive with
-  | Some ri when Reactive.broker ri != broker ->
-    invalid_arg "Online_mover.create: reactive index is bound to a different broker"
-  | Some _ | None -> ());
   let on_event = function
     (* random failures only: planned maintenance and correlated failures are
        absorbed by capacity already inside the reservations (§3.3.1) *)
@@ -237,35 +167,15 @@ let apply_plan t (plan : Concretize.plan) =
 let lend_idle t ~elastic_id ~max_servers =
   if max_servers <= 0 then 0
   else begin
-    match t.reactive with
-    | Some ri ->
-      (* tier-1 donor pick: drain the cheapest buffer buckets, O(classes +
-         servers lent) *)
-      let ids = Reactive.take_idle_buffer ri ~max_servers in
-      List.iter
-        (fun id ->
-          Hashtbl.replace t.loans id Broker.Shared_buffer;
-          Broker.move t.broker id (Broker.Elastic elastic_id))
-        ids;
-      List.length ids
-    | None ->
-      (* columnar scan in id order (the reference behaviour), stopping at
-         [max_servers] instead of walking the whole region *)
-      let n = Broker.num_servers t.broker in
-      let lent = ref 0 and id = ref 0 in
-      while !lent < max_servers && !id < n do
-        if
-          Broker.current_code t.broker !id = code_buffer
-          && Broker.healthy_at t.broker !id
-          && not (Broker.in_use_at t.broker !id)
-        then begin
-          Hashtbl.replace t.loans !id Broker.Shared_buffer;
-          Broker.move t.broker !id (Broker.Elastic elastic_id);
-          incr lent
-        end;
-        incr id
-      done;
-      !lent
+    (* tier-1 donor pick: drain the cheapest buffer buckets, O(classes +
+       servers lent) *)
+    let ids = Reactive.take_idle_buffer t.reactive ~max_servers in
+    List.iter
+      (fun id ->
+        Hashtbl.replace t.loans id Broker.Shared_buffer;
+        Broker.move t.broker id (Broker.Elastic elastic_id))
+      ids;
+    List.length ids
   end
 
 let revoke t ~elastic_id =

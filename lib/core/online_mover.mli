@@ -22,14 +22,15 @@ val create : ?engine:Ras_sim.Engine.t -> ?reactive:Reactive.t -> Ras_broker.Brok
     replacements are scheduled one simulated minute after the failure (the
     paper's replacement SLO); without one they happen synchronously.
 
-    With [?reactive] (a tier-1 index over the same broker — raises
-    [Invalid_argument] otherwise), replacement search and elastic-lending
-    donor selection run against the incrementally-maintained availability
-    pools in O(affected classes); without it they are columnar broker scans.
-    Either way the per-event work no longer materializes one record per
-    server. *)
+    Replacement search and elastic-lending donor selection run against a
+    tier-1 {!Reactive} index — incrementally maintained availability pools
+    answering in O(affected classes), never a broker scan.  [?reactive]
+    shares an existing index over the same broker (raises
+    [Invalid_argument] when it is bound to another broker); without it the
+    mover builds its own. *)
 
-val reactive : t -> Reactive.t option
+val reactive : t -> Reactive.t
+(** The tier-1 index the mover repairs through (shared or its own). *)
 
 val find_replacement : t -> Reservation.t -> failed_hw:int -> int option
 (** The replacement a failure of hardware-subtype [failed_hw] inside the
@@ -37,13 +38,8 @@ val find_replacement : t -> Reservation.t -> failed_hw:int -> int option
     shared-buffer server — same subtype preferred — or, failing that, a
     revocable elastic loan whose home is the shared buffer.  The preference
     classes (same subtype > other subtype, buffer > loan, idle > in-use)
-    match {!find_replacement_reference} exactly; within a class the reactive
-    path picks by dual price where the scans pick the lowest id. *)
-
-val find_replacement_reference : t -> Reservation.t -> failed_hw:int -> int option
-(** The original O(servers) record-building scan, retained as the
-    differential oracle for {!find_replacement} (the
-    {!Symmetry.build_reference} pattern). *)
+    match the full-scan reference the tests keep as an oracle; within a
+    class the pick goes by dual price where the scan picks the lowest id. *)
 
 val set_reservations : t -> Reservation.t list -> unit
 (** The mover needs reservation specs to pick acceptable replacements. *)

@@ -19,9 +19,8 @@
       what keeps the next round's objective drift small;
     - picking a server out of a bucket is O(1).
 
-    The legacy full-scan implementations ({!Emergency.grant_reference},
-    {!Online_mover.find_replacement_reference}) are retained as
-    differential oracles, the same pattern as {!Symmetry.build_reference}. *)
+    The legacy full-scan replacement search and grant live on as
+    differential oracles in the test suite's [oracles] library. *)
 
 type counters = {
   events : int;  (** tier-1 operations served (replacements + grants) *)

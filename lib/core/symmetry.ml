@@ -127,7 +127,9 @@ let build ?(rack_level = false) ?include_server (snapshot : Snapshot.t) =
 (* The pre-streaming implementation, kept verbatim as the differential
    oracle for the aggregation-equivalence battery (test_region_scale.ml):
    materializes every server view and groups member-id lists through the
-   key table, exactly as builds did before the columnar refactor. *)
+   key table, exactly as builds did before the columnar refactor.  Unlike
+   the tier-1 oracles it stays in the library: it needs the private [key]
+   type and [finish], and exporting them would widen the interface. *)
 let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
     (snapshot : Snapshot.t) =
   let groups : (key, int list ref) Hashtbl.t = Hashtbl.create 256 in

@@ -31,7 +31,6 @@ type t = {
   config : config;
   eng : Engine.t;
   brk : Broker.t;
-  rx : Reactive.t;
   mv : Online_mover.t;
   mtr : Metrics.t;
   mutable guaranteed : Reservation.t list;  (* newest first *)
@@ -49,14 +48,13 @@ let engine t = t.eng
 let broker t = t.brk
 let metrics t = t.mtr
 let mover t = t.mv
-let reactive t = t.rx
+let reactive t = Online_mover.reactive t.mv
 
 let reservations t = List.rev t.guaranteed @ t.buffers
 
 let create ?(config = default_config) brk =
   let eng = Engine.create () in
-  let rx = Reactive.create brk in
-  let mv = Online_mover.create ~engine:eng ~reactive:rx brk in
+  let mv = Online_mover.create ~engine:eng brk in
   let buffers =
     Buffers.shared_buffer_reservations (Broker.region brk)
       ~fraction:config.shared_buffer_fraction ~first_id:8000
@@ -66,7 +64,6 @@ let create ?(config = default_config) brk =
       config;
       eng;
       brk;
-      rx;
       mv;
       mtr = Metrics.create ();
       guaranteed = [];
@@ -162,7 +159,7 @@ let solve_now t =
   let stats = Async_solver.solve ~params:t.config.solver snap in
   (* refresh the tier-1 repair policy with this round's dual prices *)
   (match stats.Async_solver.price_table with
-  | Some p -> Reactive.set_prices t.rx p
+  | Some p -> Reactive.set_prices (reactive t) p
   | None -> ());
   (* revoke elastic loans touched by the plan before applying it *)
   let apply = Online_mover.apply_plan t.mv stats.Async_solver.plan in

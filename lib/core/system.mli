@@ -34,8 +34,9 @@ val broker : t -> Ras_broker.Broker.t
 val metrics : t -> Ras_sim.Metrics.t
 val mover : t -> Online_mover.t
 val reactive : t -> Reactive.t
-(** The tier-1 reactive index the system maintains over its broker; each
-    {!solve_now} refreshes its dual-price table. *)
+(** The tier-1 reactive index the system's mover repairs through (the
+    mover's own, so there is one index per system); each {!solve_now}
+    refreshes its dual-price table. *)
 
 val reservations : t -> Reservation.t list
 

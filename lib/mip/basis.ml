@@ -15,21 +15,6 @@
 
 type kind = Dense | Lu
 
-(* Solve-kernel selection, orthogonal to [kind].  [Hypersparse] runs the
-   triangular solves by graph traversal over the factor patterns, touching
-   only steps reachable from the right-hand side's nonzeros; [Dense_oracle]
-   runs the same arithmetic as full scans over every step.  Both perform
-   bit-identical floating-point operations on every reachable entry (the
-   skipped entries are structural zeros), so they are differentially
-   comparable pivot-for-pivot — the oracle is what pins the traversal
-   code. *)
-type kernels = Hypersparse | Dense_oracle
-
-let kernels_of_env () =
-  match Sys.getenv_opt "RAS_LP_KERNELS" with
-  | Some ("dense" | "DENSE" | "dense-oracle" | "dense_oracle") -> Dense_oracle
-  | Some _ | None -> Hypersparse
-
 (* Sparse vector: a packed, ascending index list over a dense value scratch
    (zero outside the pattern).  The solve results below are returned in
    svecs owned by the factorization; each is valid until the next call of
@@ -69,13 +54,6 @@ type lu = {
   ucols : int array array;  (* U row k: later elimination steps *)
   uvals : float array array;
   udiag : float array;
-  (* pattern-only views for the hypersparse reachability passes: [lsteps] is
-     [lrows] with constraint rows mapped to their elimination steps, and
-     [ltr]/[utr] are the transposed patterns of [lsteps]/[ucols] (step j ->
-     steps k < j whose L column / U row contains j) *)
-  lsteps : int array array;
-  ltr : int array array;
-  utr : int array array;
   mutable etas : eta array;
   mutable neta : int;
   mutable ennz : int;
@@ -88,22 +66,17 @@ type repr = Dense_r of dense | Lu_r of lu
 type t = {
   m : int;
   knd : kind;
-  mutable kern : kernels;
   mutable repr : repr;
   mutable updates : int;
   update_limit : int;
   mutable err : float;
   mutable refactors : int;
   (* solve scratch owned by the factorization: the two svec results (FTRAN
-     and BTRAN directions are separate so a pivot can hold both at once), a
-     step-indexed workspace [wz] kept all-zero between calls, its pattern
-     [wzi], a traversal worklist, position/step marks, and a dense-path
-     buffer [wd] for the full-scan solves *)
+     and BTRAN directions are separate so a pivot can hold both at once),
+     position marks for the sparse eta passes, and the step-indexed scratch
+     [wd] of the triangular solves *)
   sf : Svec.t;
   sb : Svec.t;
-  wz : float array;
-  wzi : int array;
-  wstk : int array;
   wmark : int array;
   mutable wstamp : int;
   wd : float array;
@@ -112,11 +85,6 @@ type t = {
   mutable ftran_nnz : int;
   mutable btran_calls : int;
   mutable btran_nnz : int;
-  (* invoked after every successful refactorization: the owning solve hangs
-     state off the factorization's lifetime (Devex pricing weights are only
-     meaningful relative to the basis they were accumulated on, so the
-     simplex resets them here) *)
-  mutable on_refactor : unit -> unit;
 }
 
 (* Update-chain budgets: the dense rank-one update is cheap and accurate
@@ -150,19 +118,15 @@ let identity_lu m =
     ucols = Array.make m [||];
     uvals = Array.make m [||];
     udiag = Array.make m 1.0;
-    lsteps = Array.make m [||];
-    ltr = Array.make m [||];
-    utr = Array.make m [||];
     etas = [||];
     neta = 0;
     ennz = 0;
   }
 
-let create ?kernels knd ~m =
+let create knd ~m =
   {
     m;
     knd;
-    kern = (match kernels with Some k -> k | None -> kernels_of_env ());
     repr =
       (match knd with
       | Dense -> Dense_r { inv = identity_dense m; nzbuf = Array.make m 0 }
@@ -173,9 +137,6 @@ let create ?kernels knd ~m =
     refactors = 0;
     sf = Svec.make m;
     sb = Svec.make m;
-    wz = Array.make m 0.0;
-    wzi = Array.make m 0;
-    wstk = Array.make m 0;
     wmark = Array.make m (-1);
     wstamp = 0;
     wd = Array.make m 0.0;
@@ -183,13 +144,10 @@ let create ?kernels knd ~m =
     ftran_nnz = 0;
     btran_calls = 0;
     btran_nnz = 0;
-    on_refactor = ignore;
   }
 
 let kind t = t.knd
 let dim t = t.m
-let kernels t = t.kern
-let set_kernels t k = t.kern <- k
 
 type solve_stats = {
   ftran_calls : int;
@@ -211,7 +169,6 @@ let reset_stats (t : t) =
   t.ftran_nnz <- 0;
   t.btran_calls <- 0;
   t.btran_nnz <- 0
-let set_refactor_hook t f = t.on_refactor <- f
 let updates_since_refactor t = t.updates
 let refactor_count t = t.refactors
 
@@ -229,14 +186,9 @@ let set_identity t =
 let copy t =
   {
     t with
-    (* the hook points into the donor solve's state; a copy starts detached *)
-    on_refactor = ignore;
     (* solve scratch and counters are per-holder, never shared *)
     sf = Svec.make t.m;
     sb = Svec.make t.m;
-    wz = Array.make t.m 0.0;
-    wzi = Array.make t.m 0;
-    wstk = Array.make t.m 0;
     wmark = Array.make t.m (-1);
     wstamp = 0;
     wd = Array.make t.m 0.0;
@@ -626,31 +578,6 @@ let lu_refactorize ?deficient m ~basis ~col =
       uvals.(k) <- Array.sub uv 0 !n
     end
   done;
-  (* pattern-only step views and their transposes, for the hypersparse
-     reachability passes (O(nnz) once per refactorization) *)
-  let lsteps = Array.make m [||] in
-  let lcnt = Array.make m 0 and ucnt = Array.make m 0 in
-  for k = 0 to m - 1 do
-    lsteps.(k) <- Array.map (fun r -> rpos.(r)) lrows.(k);
-    Array.iter (fun j -> lcnt.(j) <- lcnt.(j) + 1) lsteps.(k);
-    Array.iter (fun j -> ucnt.(j) <- ucnt.(j) + 1) ucols.(k)
-  done;
-  let ltr = Array.init m (fun j -> Array.make lcnt.(j) 0) in
-  let utr = Array.init m (fun j -> Array.make ucnt.(j) 0) in
-  Array.fill lcnt 0 m 0;
-  Array.fill ucnt 0 m 0;
-  for k = 0 to m - 1 do
-    Array.iter
-      (fun j ->
-        ltr.(j).(lcnt.(j)) <- k;
-        lcnt.(j) <- lcnt.(j) + 1)
-      lsteps.(k);
-    Array.iter
-      (fun j ->
-        utr.(j).(ucnt.(j)) <- k;
-        ucnt.(j) <- ucnt.(j) + 1)
-      ucols.(k)
-  done;
   {
     rperm;
     rpos;
@@ -661,9 +588,6 @@ let lu_refactorize ?deficient m ~basis ~col =
     ucols;
     uvals;
     udiag;
-    lsteps;
-    ltr;
-    utr;
     etas = [||];
     neta = 0;
     ennz = 0;
@@ -678,8 +602,7 @@ let refactorize t ~basis ~col =
   | Lu -> t.repr <- Lu_r (lu_refactorize t.m ~basis ~col));
   t.updates <- 0;
   t.err <- 0.0;
-  t.refactors <- t.refactors + 1;
-  t.on_refactor ()
+  t.refactors <- t.refactors + 1
 
 let refactorize_repaired t ~basis ~col =
   match t.knd with
@@ -694,7 +617,6 @@ let refactorize_repaired t ~basis ~col =
     t.updates <- 0;
     t.err <- 0.0;
     t.refactors <- t.refactors + 1;
-    t.on_refactor ();
     !repairs
 
 (* ------------------------------------------------------------------ *)
@@ -785,16 +707,9 @@ let apply_etas_t lu y =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Hypersparse traversal machinery                                     *)
+(* Sparse-result helpers                                               *)
 
-(* When the reach of a right-hand side exceeds this fraction of the steps,
-   graph traversal stops paying for itself (sort + worklist overhead on a
-   nearly-dense vector) and the solve falls back to the full scan for that
-   pass.  Results are unchanged either way — the scan performs the same
-   arithmetic — so the cap is purely a performance knob. *)
-let hyper_cap m = 16 + (m asr 2)
-
-(* In-place ascending sort of a.(lo..hi); the reach sets it orders are
+(* In-place ascending sort of a.(lo..hi); the patterns it orders are
    duplicate-free. *)
 let rec qsort_ints (a : int array) lo hi =
   if hi - lo > 12 then begin
@@ -829,169 +744,19 @@ let rec qsort_ints (a : int array) lo hi =
       a.(!j + 1) <- v
     done
 
-(* Drain the worklist (stack holds [sp] marked seed steps) over the step
-   adjacency [succ], collecting every reachable step into [out].  Returns
-   the reach size, or -1 once it exceeds [cap] (the caller falls back to the
-   full scan; the stale marks are invalidated by the next stamp bump). *)
-let drain_reach (succ : int array array) mark stamp (stack : int array) sp
-    (out : int array) cap =
-  let n = ref 0 in
-  let sp = ref sp in
-  let overflow = ref false in
-  while (not !overflow) && !sp > 0 do
-    decr sp;
-    let k = stack.(!sp) in
-    out.(!n) <- k;
-    incr n;
-    if !n > cap then overflow := true
-    else begin
-      let s = succ.(k) in
-      for u = 0 to Array.length s - 1 do
-        let j = s.(u) in
-        if mark.(j) <> stamp then begin
-          mark.(j) <- stamp;
-          stack.(!sp) <- j;
-          incr sp
-        end
-      done
-    end
-  done;
-  if !overflow then -1 else !n
-
-(* Forward pass L z = P x over the row-indexed workspace [vals], writing the
-   step-indexed result into [t.wz] and its (sorted, possibly zero-carrying)
-   pattern into [t.wzi].  Rows of [vals] touched by the pass are zeroed on
-   the way out.  Returns the pattern length, or -1 when the pass ran as a
-   full scan (the workspace then holds all m steps and [vals] is fully
-   cleared). *)
-let l_forward t lu nseed =
-  let m = t.m in
-  let vals = t.sf.Svec.vals in
-  let z = t.wz and pat = t.wzi in
-  let nl =
-    if t.kern = Hypersparse then
-      drain_reach lu.lsteps t.wmark t.wstamp t.wstk nseed pat (hyper_cap m)
-    else -1
-  in
-  if nl >= 0 then begin
-    qsort_ints pat 0 (nl - 1);
-    for u = 0 to nl - 1 do
-      let k = pat.(u) in
-      let zk = vals.(lu.rperm.(k)) in
-      z.(k) <- zk;
-      if zk <> 0.0 then begin
-        let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-        for w = 0 to Array.length lr - 1 do
-          vals.(lr.(w)) <- vals.(lr.(w)) -. (lv.(w) *. zk)
-        done
-      end
-    done;
-    (* every touched row is the rperm image of a reached step *)
-    for u = 0 to nl - 1 do
-      vals.(lu.rperm.(pat.(u))) <- 0.0
-    done;
-    nl
-  end
-  else begin
-    (* full scan: identical arithmetic over all steps, collecting the
-       nonzero pattern as it appears *)
-    let n = ref 0 in
-    for k = 0 to m - 1 do
-      let zk = vals.(lu.rperm.(k)) in
-      z.(k) <- zk;
-      if zk <> 0.0 then begin
-        pat.(!n) <- k;
-        incr n;
-        let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-        for w = 0 to Array.length lr - 1 do
-          vals.(lr.(w)) <- vals.(lr.(w)) -. (lv.(w) *. zk)
-        done
-      end
-    done;
-    Array.fill vals 0 m 0.0;
-    !n
-  end
-
-(* Back-substitution U y = z over the step workspace, given the (sorted)
-   candidate pattern from the forward pass.  Extends the pattern to the
-   reach over the transposed U rows and processes it in descending step
-   order; falls back to the full descending scan when the reach densifies.
-   Returns the final pattern length, or -1 for "all m steps". *)
-let u_backward t lu np =
-  let m = t.m in
-  let z = t.wz and pat = t.wzi in
-  let nu =
-    if t.kern = Hypersparse && np >= 0 then begin
-      t.wstamp <- t.wstamp + 1;
-      let stamp = t.wstamp in
-      let sp = ref 0 in
-      for u = 0 to np - 1 do
-        let k = pat.(u) in
-        t.wmark.(k) <- stamp;
-        t.wstk.(!sp) <- k;
-        incr sp
-      done;
-      drain_reach lu.utr t.wmark stamp t.wstk !sp pat (hyper_cap m)
-    end
-    else -1
-  in
-  if nu >= 0 then begin
-    qsort_ints pat 0 (nu - 1);
-    for u = nu - 1 downto 0 do
-      let k = pat.(u) in
-      let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-      let acc = ref z.(k) in
-      for w = 0 to Array.length uc - 1 do
-        acc := !acc -. (uv.(w) *. z.(uc.(w)))
-      done;
-      z.(k) <- !acc /. lu.udiag.(k)
-    done;
-    nu
-  end
-  else begin
-    for k = m - 1 downto 0 do
-      let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-      let acc = ref z.(k) in
-      for w = 0 to Array.length uc - 1 do
-        acc := !acc -. (uv.(w) *. z.(uc.(w)))
-      done;
-      z.(k) <- !acc /. lu.udiag.(k)
-    done;
-    -1
-  end
-
-(* Scatter the step workspace into [sv] through [perm] (dropping exact
-   zeros), clear the workspace, and leave the pattern sorted ascending. *)
-let emit_steps t (perm : int array) nu (sv : Svec.t) =
-  let m = t.m in
-  let z = t.wz and pat = t.wzi in
+(* Collect [sv]'s pattern from a fully written dense result: the ascending
+   nonzero positions.  Signed zeros are normalized so the backing store is
+   exactly zero outside the pattern. *)
+let gather_pattern m (sv : Svec.t) =
   let vals = sv.Svec.vals and idx = sv.Svec.idx in
   let n = ref 0 in
-  if nu >= 0 then begin
-    for u = 0 to nu - 1 do
-      let k = pat.(u) in
-      let zk = z.(k) in
-      z.(k) <- 0.0;
-      if zk <> 0.0 then begin
-        let p = perm.(k) in
-        vals.(p) <- zk;
-        idx.(!n) <- p;
-        incr n
-      end
-    done
-  end
-  else
-    for k = 0 to m - 1 do
-      let zk = z.(k) in
-      z.(k) <- 0.0;
-      if zk <> 0.0 then begin
-        let p = perm.(k) in
-        vals.(p) <- zk;
-        idx.(!n) <- p;
-        incr n
-      end
-    done;
-  qsort_ints idx 0 (!n - 1);
+  for p = 0 to m - 1 do
+    if vals.(p) <> 0.0 then begin
+      idx.(!n) <- p;
+      incr n
+    end
+    else vals.(p) <- 0.0
+  done;
   sv.Svec.n <- !n
 
 (* Sparse (pattern-tracked) product-form eta application over [sv]'s
@@ -1221,22 +986,12 @@ let ftran_sparse t (rows : int array) (coefs : float array) ~off ~len =
     sv.Svec.n <- !n
   | Lu_r lu ->
     let vals = sv.Svec.vals in
-    t.wstamp <- t.wstamp + 1;
-    let stamp = t.wstamp in
-    let nseed = ref 0 in
     for k = 0 to len - 1 do
       let r = rows.(off + k) in
-      vals.(r) <- vals.(r) +. coefs.(off + k);
-      let s = lu.rpos.(r) in
-      if t.wmark.(s) <> stamp then begin
-        t.wmark.(s) <- stamp;
-        t.wstk.(!nseed) <- s;
-        incr nseed
-      end
+      vals.(r) <- vals.(r) +. coefs.(off + k)
     done;
-    let np = l_forward t lu !nseed in
-    let nu = u_backward t lu np in
-    emit_steps t lu.cperm nu sv;
+    lu_solve lu t.m t.wd vals;
+    gather_pattern t.m sv;
     apply_etas_sparse t lu sv);
   t.ftran_calls <- t.ftran_calls + 1;
   t.ftran_nnz <- t.ftran_nnz + sv.Svec.n;
@@ -1262,13 +1017,8 @@ let ftran_unit_sparse t r =
     sv.Svec.n <- !n
   | Lu_r lu ->
     sv.Svec.vals.(r) <- 1.0;
-    t.wstamp <- t.wstamp + 1;
-    let s = lu.rpos.(r) in
-    t.wmark.(s) <- t.wstamp;
-    t.wstk.(0) <- s;
-    let np = l_forward t lu 1 in
-    let nu = u_backward t lu np in
-    emit_steps t lu.cperm nu sv;
+    lu_solve lu t.m t.wd sv.Svec.vals;
+    gather_pattern t.m sv;
     apply_etas_sparse t lu sv);
   t.ftran_calls <- t.ftran_calls + 1;
   t.ftran_nnz <- t.ftran_nnz + sv.Svec.n;
@@ -1300,101 +1050,8 @@ let btran_unit_sparse t r =
     sv.Svec.idx.(0) <- r;
     sv.Svec.n <- 1;
     apply_etas_t_sparse t lu sv;
-    (* transfer the position-indexed pattern into the step workspace *)
-    let z = t.wz and pat = t.wzi in
-    t.wstamp <- t.wstamp + 1;
-    let stamp = t.wstamp in
-    let sp = ref 0 in
-    for u = 0 to sv.Svec.n - 1 do
-      let p = sv.Svec.idx.(u) in
-      let k = lu.cpos.(p) in
-      z.(k) <- vals.(p);
-      vals.(p) <- 0.0;
-      t.wmark.(k) <- stamp;
-      t.wstk.(!sp) <- k;
-      incr sp
-    done;
-    sv.Svec.n <- 0;
-    (* U^T forward, ascending over the reach (successors are later steps) *)
-    let nu =
-      if t.kern = Hypersparse then
-        drain_reach lu.ucols t.wmark stamp t.wstk !sp pat (hyper_cap t.m)
-      else -1
-    in
-    let nu =
-      if nu >= 0 then begin
-        qsort_ints pat 0 (nu - 1);
-        for u = 0 to nu - 1 do
-          let k = pat.(u) in
-          let dk = z.(k) /. lu.udiag.(k) in
-          z.(k) <- dk;
-          if dk <> 0.0 then begin
-            let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-            for w = 0 to Array.length uc - 1 do
-              z.(uc.(w)) <- z.(uc.(w)) -. (uv.(w) *. dk)
-            done
-          end
-        done;
-        nu
-      end
-      else begin
-        for k = 0 to t.m - 1 do
-          let dk = z.(k) /. lu.udiag.(k) in
-          z.(k) <- dk;
-          if dk <> 0.0 then begin
-            let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-            for w = 0 to Array.length uc - 1 do
-              z.(uc.(w)) <- z.(uc.(w)) -. (uv.(w) *. dk)
-            done
-          end
-        done;
-        -1
-      end
-    in
-    (* L^T backward, descending over the reach through the transposed L
-       pattern (each gather reads only later steps, already final) *)
-    let nl =
-      if nu >= 0 then begin
-        t.wstamp <- t.wstamp + 1;
-        let stamp = t.wstamp in
-        let sp = ref 0 in
-        for u = 0 to nu - 1 do
-          let k = pat.(u) in
-          t.wmark.(k) <- stamp;
-          t.wstk.(!sp) <- k;
-          incr sp
-        done;
-        drain_reach lu.ltr t.wmark stamp t.wstk !sp pat (hyper_cap t.m)
-      end
-      else -1
-    in
-    let nl =
-      if nl >= 0 then begin
-        qsort_ints pat 0 (nl - 1);
-        for u = nl - 1 downto 0 do
-          let k = pat.(u) in
-          let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-          let acc = ref z.(k) in
-          for w = 0 to Array.length lr - 1 do
-            acc := !acc -. (lv.(w) *. z.(lu.rpos.(lr.(w))))
-          done;
-          z.(k) <- !acc
-        done;
-        nl
-      end
-      else begin
-        for k = t.m - 1 downto 0 do
-          let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-          let acc = ref z.(k) in
-          for w = 0 to Array.length lr - 1 do
-            acc := !acc -. (lv.(w) *. z.(lu.rpos.(lr.(w))))
-          done;
-          z.(k) <- !acc
-        done;
-        -1
-      end
-    in
-    emit_steps t lu.rperm nl sv);
+    lu_solve_t lu t.m t.wd vals;
+    gather_pattern t.m sv);
   t.btran_calls <- t.btran_calls + 1;
   t.btran_nnz <- t.btran_nnz + sv.Svec.n;
   sv

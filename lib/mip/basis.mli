@@ -28,25 +28,6 @@
 
 type kind = Dense | Lu
 
-type kernels = Hypersparse | Dense_oracle
-(** Solve-kernel selection, orthogonal to {!kind}.  [Hypersparse] runs the
-    triangular solves of the {!Lu} backend as graph traversals over the
-    factor patterns (Gilbert–Peierls-style reachability), touching only the
-    steps reachable from the right-hand side's nonzeros; [Dense_oracle]
-    runs the very same arithmetic as full scans over every step.  The two
-    perform bit-identical floating-point operations on every reachable
-    entry — the entries a traversal skips are structural zeros — so a solve
-    under either kernel takes the same pivot sequence, which is what the
-    sparse-vs-dense differential battery asserts.  A traversal whose reach
-    densifies past a fraction of the steps falls back to the full scan for
-    that pass (the fully-dense-column worst case), again without changing
-    any result. *)
-
-val kernels_of_env : unit -> kernels
-(** Kernel mode forced by the [RAS_LP_KERNELS] environment variable
-    ("dense" selects {!Dense_oracle}); {!Hypersparse} when unset.  CI runs
-    the test suite once under each. *)
-
 (** Sparse vector over a dense backing store: [idx.(0..n-1)] lists the
     nonzero positions in ascending order and [vals] is zero outside them.
     The sparse solves below return svecs owned by the factorization; each
@@ -68,17 +49,11 @@ exception Singular
 (** Raised by {!refactorize} when the basis matrix is (numerically)
     singular.  The factorization is left unchanged. *)
 
-val create : ?kernels:kernels -> kind -> m:int -> t
-(** Fresh factorization of the m×m identity (the all-slack basis).
-    [kernels] defaults to {!kernels_of_env}. *)
+val create : kind -> m:int -> t
+(** Fresh factorization of the m×m identity (the all-slack basis). *)
 
 val kind : t -> kind
 val dim : t -> int
-val kernels : t -> kernels
-
-val set_kernels : t -> kernels -> unit
-(** Switch the solve kernel; takes effect on the next solve call (the
-    factors themselves are kernel-agnostic). *)
 
 val set_identity : t -> unit
 (** Reset to the identity factorization (cold all-slack start). *)
@@ -138,9 +113,9 @@ val row_of_inverse : t -> int -> float array
 val ftran_col_sparse : t -> int array -> float array -> off:int -> len:int -> Svec.t
 (** [ftran_col_sparse t ind val_ ~off ~len] is {!ftran_col} on the packed
     column slice [ind]/[val_].[off .. off+len-1], returned as a sparse
-    vector (see {!Svec} for the ownership rule).  Under {!Hypersparse} the
-    triangular passes visit only the steps reachable from the column's
-    nonzeros. *)
+    vector (see {!Svec} for the ownership rule).  The triangular passes
+    walk every elimination step but skip the factor column of each zero
+    step, and the eta file is applied over the result's pattern only. *)
 
 val ftran_unit_sparse : t -> int -> Svec.t
 (** {!ftran_col_sparse} on the unit column e_r (slack columns). *)
@@ -190,16 +165,5 @@ val eta_nnz : t -> int
 
 val refactor_count : t -> int
 
-val set_refactor_hook : t -> (unit -> unit) -> unit
-(** [set_refactor_hook t f] registers [f] to run after every successful
-    {!refactorize} of [t].  There is one hook slot per factorization; the
-    owning solve uses it to invalidate state that is only meaningful
-    relative to the basis the factors were built from — the {!Simplex}
-    Devex pricer resets its reference-framework weights here.  {!copy}
-    deliberately does not carry the hook (a copied factorization starts
-    detached), and a failed refactorization ({!Singular}) does not fire
-    it. *)
-
 val copy : t -> t
-(** Deep copy; the copy can be mutated independently.  The refactor hook is
-    not copied (see {!set_refactor_hook}). *)
+(** Deep copy; the copy can be mutated independently. *)

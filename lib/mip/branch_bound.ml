@@ -12,9 +12,7 @@ type options = {
   root_basis : Simplex.warm_basis option;
   warm_start : bool;
   lp_pricing : Simplex.pricing;
-  lp_devex_carry : bool;
   lp_backend : Basis.kind;
-  lp_kernels : Basis.kernels option;
   dual_restart : bool;
 }
 
@@ -31,9 +29,7 @@ let default_options =
     root_basis = None;
     warm_start = true;
     lp_pricing = Simplex.Devex;
-    lp_devex_carry = false;
     lp_backend = Basis.Lu;
-    lp_kernels = None;
     dual_restart = true;
   }
 
@@ -235,9 +231,7 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
       in
       (match basis with Some _ -> incr warm_nodes | None -> ());
       match
-        Simplex.solve ~pricing:options.lp_pricing
-          ~devex_carry:options.lp_devex_carry ~backend:options.lp_backend
-          ?kernels:options.lp_kernels ~ws:lp_ws
+        Simplex.solve ~pricing:options.lp_pricing ~backend:options.lp_backend ~ws:lp_ws
           ~dual_simplex:options.dual_restart ?basis ~lb:node.nlb ~ub:node.nub std
       with
       | Simplex.Infeasible _ -> ()
@@ -460,9 +454,9 @@ let project_root_basis ~kept_rows (reduced : Model.std) (wb : Simplex.warm_basis
       if used.(j) then wstatus.(j) <- Simplex.Basic
       else if wstatus.(j) = Simplex.Basic then wstatus.(j) <- Simplex.At_lower
     done;
-    (* the factorization and devex weights belong to the unprojected
-       basis / column space; never carry them *)
-    Some { Simplex.wcols; wstatus; wfac = None; wdevex = None }
+    (* the factorization belongs to the unprojected basis / column space;
+       never carry it *)
+    Some { Simplex.wcols; wstatus; wfac = None }
   end
 
 let solve ?(options = default_options) (std : Model.std) =

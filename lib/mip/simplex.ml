@@ -3,24 +3,21 @@
    columns sit at zero. *)
 type col_status = Basic | At_lower | At_upper | Nb_free
 
-(* Entering-column selection rule.  Dantzig and Partial score candidates by
-   |reduced cost| (over every column / over a rotating window); Devex scores
-   by d^2 / w_j with reference-framework weights approximating the
-   steepest-edge norms (Forrest-Goldfarb). *)
-type pricing = Dantzig | Partial | Devex
+(* Entering-column selection rule.  Devex (production) scores by d^2 / w_j
+   with reference-framework weights approximating the steepest-edge norms
+   (Forrest-Goldfarb); Dantzig scores by |reduced cost| over every column
+   and is kept as the differential oracle's rule. *)
+type pricing = Dantzig | Devex
 
 (* A restartable basis snapshot: which column is basic in each row plus the
    bound every nonbasic column rests on.  [wfac] optionally carries the
    matching basis factorization so a restart can skip refactorization;
    holders that keep many snapshots alive (the branch-and-bound node queue)
-   drop it to stay O(ntotal) per snapshot.  [wdevex] optionally carries the
-   final Devex weights so a warm restart can keep pricing in the parent's
-   reference framework instead of re-referencing to all-ones. *)
+   drop it to stay O(ntotal) per snapshot. *)
 type warm_basis = {
   wcols : int array;  (* wcols.(i) = column basic in row i *)
   wstatus : col_status array;  (* one entry per column incl. slacks *)
   wfac : Basis.t option;  (* basis factorization matching wcols *)
-  wdevex : float array option;  (* Devex weights at the final basis *)
 }
 
 (* Hot-path kernel counters for one solve: average FTRAN/BTRAN result
@@ -107,9 +104,6 @@ type state = {
   pmark : int array;  (* ntotal *)
   (* entering-column selection *)
   pricing : pricing;
-  (* partial-pricing rotation state *)
-  price_window : int;
-  mutable price_cursor : int;
   (* Devex phase-2 candidate list: the set of improving nonbasic columns,
      maintained incrementally.  A column's candidacy can only change when
      its reduced cost or status changes, and every such change flows
@@ -465,14 +459,10 @@ let update_prices_after_pivot st ~row ~q ~leaving ~d ~lshift ~upd_dual ~fold_g =
   end
 
 (* Entering-column choice.  Every regime reads the cached reduced-cost
-   vector — no column is ever dotted against the duals here.  Four regimes:
+   vector — no column is ever dotted against the duals here.  Three regimes:
    - Bland's rule (anti-cycling): lowest-index improving column, full scan;
    - full Dantzig: best |reduced cost| over every column (the seed scheme,
-     kept selectable for benchmarking);
-   - partial pricing: scan a rotating window from [price_cursor]; once an
-     improving candidate is seen, stop at the window boundary and take the
-     best so far.  Only a completely dry full rotation declares dual
-     feasibility, so optimality claims are unchanged;
+     kept as the differential oracle's rule);
    - Devex (default): score d^2 / w_j under the approximate steepest-edge
      weights (maintained eagerly by the pivot epilogue, see
      [update_prices_after_pivot]).  Phase 2 scans the incrementally
@@ -546,41 +536,6 @@ let choose_entering st ~phase1 =
     done;
     st.clist_n <- !kept;
     !best
-    | Partial ->
-    let n = st.ntotal in
-    let best_j = ref (-1) and best_dir = ref 1.0 and best_d = ref 0.0 in
-    let best_score = ref 0.0 in
-    let k = ref 0 in
-    let stop = ref false in
-    while (not !stop) && !k < n do
-      let j =
-        let c = st.price_cursor + !k in
-        if c >= n then c - n else c
-      in
-      incr k;
-      if st.status.(j) <> Basic then begin
-        let d = dvec.(j) in
-        match entering_direction st ~d j with
-        | Some dir ->
-          let score = Float.abs d in
-          if score > !best_score then begin
-            best_score := score;
-            best_j := j;
-            best_dir := dir;
-            best_d := d
-          end
-        | None -> ()
-      end;
-      if !best_j >= 0 && !k >= st.price_window then stop := true
-    done;
-    if !best_j < 0 then None
-    else begin
-      (* rotate so the next iteration prices a fresh section *)
-      st.price_cursor <-
-        (let c = st.price_cursor + !k in
-         if c >= n then c - n else c);
-      Some (!best_j, !best_dir, !best_d)
-    end
 
 (* -------------------------------------------------------------------- *)
 (* Ratio test                                                            *)
@@ -883,8 +838,7 @@ let create_workspace () =
   }
 
 let initial_state ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?lb_override ?ub_override ?basis ?ws
-    ~kernels ~pricing ~devex_carry ~degen_limit ~devex_reset_period ~trace ~backend
-    (std : Model.std) =
+    ~pricing ~degen_limit ~devex_reset_period ~trace ~backend (std : Model.std) =
   let m = std.nrows in
   let nvars = std.nvars in
   let ntotal = nvars + m in
@@ -967,7 +921,7 @@ let initial_state ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?lb_override ?ub_overrid
       status = w.ws_status;
       xval = w.ws_xval;
       basis = basis_arr;
-      fac = Basis.create ~kernels backend ~m;
+      fac = Basis.create backend ~m;
       feas_tol;
       dual_tol;
       pivot_tol = 1e-9;
@@ -1003,8 +957,6 @@ let initial_state ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?lb_override ?ub_overrid
       cl_gen = 0;
       clist_valid = false;
       pricing;
-      price_window = Stdlib.max 256 (ntotal / 4);
-      price_cursor = 0;
       devex_w = w.ws_devex_w;
       devex_strikes = 0;
       devex_gen = 0;
@@ -1013,21 +965,8 @@ let initial_state ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?lb_override ?ub_overrid
     }
   in
   let warmed = match basis with Some wb -> try_warm st wb | None -> false in
-  (* a warm-adopted factorization copy inherits the donor's kernel mode;
-     this solve's choice must win *)
-  Basis.set_kernels st.fac kernels;
   Basis.reset_stats st.fac;
   if not warmed then set_cold st;
-  if pricing = Devex then begin
-    (* weights survive refactorization (the basis is unchanged, so the
-       reference framework still holds); only basis jumps and the accuracy
-       strikes reset them — see [reset_devex] *)
-    match basis with
-    | Some { wdevex = Some w; _ } when warmed && devex_carry && Array.length w = ntotal ->
-      (* keep pricing in the donor solve's reference framework *)
-      Array.blit w 0 st.devex_w 0 ntotal
-    | _ -> ()
-  end;
   (st, warmed)
 
 let objective_value st =
@@ -1046,7 +985,6 @@ let final_basis st =
     wcols = Array.copy st.basis;
     wstatus = Array.copy st.status;
     wfac = Some st.fac;
-    wdevex = (if st.pricing = Devex then Some (Array.copy st.devex_w) else None);
   }
 
 let kernel_stats_of st =
@@ -1409,15 +1347,14 @@ let solve_unconstrained std lb ub =
         dual_iterations = 0;
         bland_iterations = 0;
         duals = [||];
-        basis = { wcols = [||]; wstatus = [||]; wfac = None; wdevex = None };
+        basis = { wcols = [||]; wstatus = [||]; wfac = None };
         kstats = { avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0; bound_flips = 0 };
       }
   end
 
 let solve ?max_iters ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?(pricing = Devex)
-    ?(devex_carry = false) ?(degen_limit = 100) ?(devex_reset_period = 0) ?trace
-    ?(backend = Basis.Lu) ?kernels ?ws ?(dual_simplex = true) ?basis ?lb ?ub (std : Model.std) =
-  let kernels = match kernels with Some k -> k | None -> Basis.kernels_of_env () in
+    ?(degen_limit = 100) ?(devex_reset_period = 0) ?trace ?(backend = Basis.Lu) ?ws
+    ?(dual_simplex = true) ?basis ?lb ?ub (std : Model.std) =
   (* A variable fixed-range check also covers per-node bound conflicts. *)
   let lbs = match lb with Some a -> a | None -> std.lb in
   let ubs = match ub with Some a -> a | None -> std.ub in
@@ -1429,8 +1366,8 @@ let solve ?max_iters ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?(pricing = Devex)
   else if std.nrows = 0 then solve_unconstrained std lbs ubs
   else begin
     let st, warmed =
-      initial_state ~feas_tol ~dual_tol ?lb_override:lb ?ub_override:ub ?basis ?ws ~kernels
-        ~pricing ~devex_carry ~degen_limit ~devex_reset_period ~trace ~backend std
+      initial_state ~feas_tol ~dual_tol ?lb_override:lb ?ub_override:ub ?basis ?ws ~pricing
+        ~degen_limit ~devex_reset_period ~trace ~backend std
     in
     let max_iters =
       match max_iters with

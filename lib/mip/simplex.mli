@@ -9,10 +9,10 @@
     - infeasible starts are handled by a piecewise-linear phase 1 that
       minimizes the total bound violation of basic variables (no artificial
       columns are added);
-    - three pricing rules are available (see {!pricing}): a full Dantzig
-      scan, candidate-list partial pricing over a rotating window, and
-      Devex approximate steepest-edge (the default); every rule switches
-      to Bland's rule after a run of degenerate pivots, which guarantees
+    - two pricing rules are available (see {!pricing}): Devex approximate
+      steepest-edge (production) and a full Dantzig scan (the differential
+      oracle's rule); both switch to Bland's rule after a run of
+      degenerate pivots, which guarantees
       termination; the simplex multipliers are cached and updated
       incrementally after phase-2 pivots instead of being recomputed by a
       full BTRAN every iteration;
@@ -34,22 +34,20 @@
 type pricing =
   | Dantzig  (** Full scan, most-negative reduced cost.  The textbook rule;
                  O(n) reduced costs per iteration and prone to long stalls
-                 on degenerate problems. *)
-  | Partial  (** Candidate-list partial pricing: Dantzig scores within a
-                 rotating window of columns, falling back to a full scan
-                 when the window prices out. *)
+                 on degenerate problems.  Kept as the differential oracle's
+                 rule. *)
   | Devex
       (** Forrest–Goldfarb approximate steepest-edge.  Each nonbasic
           column carries a reference-framework weight [w_j ≥ 1]
           approximating [‖B⁻¹A_j‖²] over a reference basis; the entering
           column maximizes [d_j²/w_j].  Weights are updated from the
           pivot's FTRAN/BTRAN vectors (no extra column passes: the
-          neighbour update is folded into the next pricing scan) and the
-          framework is reset — all weights back to 1 — on
-          refactorization, on entry to Bland mode, when the accuracy
+          neighbour update is folded into the pivot-row pricing pass) and
+          the framework is reset — all weights back to 1 — on every solve
+          start (cold or warm), on entry to Bland mode, when the accuracy
           estimate strikes out, and on [devex_reset_period].  Fewer
-          pivots than Dantzig/Partial on degenerate problems at the cost
-          of a full-width scan per iteration. *)
+          pivots than Dantzig on degenerate problems.  The production
+          rule. *)
 (** Entering-variable selection rule for the primal phases. *)
 
 type col_status = Basic | At_lower | At_upper | Nb_free
@@ -71,12 +69,6 @@ type warm_basis = {
           restart refactorizes from [wcols].  When present it must genuinely
           be the factorization of the [wcols] basis — it is not
           cross-checked. *)
-  wdevex : float array option;
-      (** Devex reference-framework weights at the end of the solve
-          ([None] unless the solve priced with {!Devex}).  A restart
-          adopts them only when [solve ~devex_carry:true] and the warm
-          basis was actually installed; otherwise the restart begins from
-          a fresh framework (all weights 1). *)
 }
 (** A restartable snapshot of a simplex basis.  Obtained from
     {!result.Optimal} and fed back through [solve ~basis]; the solver
@@ -88,8 +80,8 @@ type kernel_stats = {
   avg_ftran_nnz : float;
       (** Mean nonzeros per sparse FTRAN result over the whole solve.  The
           hypersparse win is exactly this (and its BTRAN twin) staying far
-          below the row count [m]; under {!Basis.Dense_oracle} the work is
-          O(m) regardless, but the counters still measure result density. *)
+          below the row count [m]: it bounds the eta, ratio-test and
+          pricing work that runs over the result's pattern. *)
   avg_btran_nnz : float;
   bound_flips : int;
       (** Nonbasic bound flips performed by the long-step (bound-flip) dual
@@ -146,12 +138,10 @@ val solve :
   ?feas_tol:float ->
   ?dual_tol:float ->
   ?pricing:pricing ->
-  ?devex_carry:bool ->
   ?degen_limit:int ->
   ?devex_reset_period:int ->
   ?trace:(iteration:int -> min_devex_weight:float -> unit) ->
   ?backend:Basis.kind ->
-  ?kernels:Basis.kernels ->
   ?ws:workspace ->
   ?dual_simplex:bool ->
   ?basis:warm_basis ->
@@ -163,9 +153,7 @@ val solve :
     variable bounds without touching [std] (this is how branch-and-bound
     explores nodes).  [basis] warm-starts from a previous solve's final
     basis (see {!warm_basis}).  [pricing] selects the entering-variable
-    rule (default {!Devex}); [devex_carry] lets a warm start adopt the
-    snapshot's Devex weights instead of resetting the framework (default
-    [false]: reset).  [degen_limit] is the number of consecutive
+    rule (default {!Devex}).  [degen_limit] is the number of consecutive
     degenerate pivots tolerated before switching to Bland's rule (default
     100; [0] switches on the first degenerate pivot — used by the cycling
     tests).  [devex_reset_period] > 0 forces a framework reset every that
@@ -174,11 +162,7 @@ val solve :
     called after every primal pivot with the iteration count and the
     minimum weight over all columns (test instrumentation).  [backend]
     selects the basis representation ([Basis.Lu] by default; [Basis.Dense]
-    is the reference oracle used by the differential tests).  [kernels]
-    selects the triangular-solve kernels ({!Basis.Hypersparse} /
-    {!Basis.Dense_oracle}); the default comes from
-    {!Basis.kernels_of_env}, and the two modes take bit-identical pivot
-    sequences (the sparse-vs-dense differential battery's invariant).
+    is the reference oracle used by the differential tests).
     [ws] supplies a reusable {!workspace}.  [dual_simplex:false] disables
     the dual re-optimization phase on warm starts (the differential
     reference configuration).  Defaults: [max_iters] scales with problem

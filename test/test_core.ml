@@ -568,8 +568,9 @@ let test_health_overlap_severity () =
 let test_emergency_grant () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
+  let reactive = Reactive.create broker in
   let res = Reservation.of_request (Capacity_request.make ~id:1 ~service:web ~rru:4.0 ()) in
-  let grant = Emergency.grant broker ~reservation:res ~rru:4.0 ~allow_buffer:false in
+  let grant = Emergency.grant ~reactive broker ~reservation:res ~rru:4.0 ~allow_buffer:false in
   Alcotest.(check bool) "granted" true (grant.Emergency.granted_rru >= 4.0);
   Alcotest.(check int) "nothing from buffer" 0 grant.Emergency.took_from_buffer;
   List.iter
@@ -586,9 +587,10 @@ let test_emergency_buffer_opt_in () =
   Broker.iter broker ~f:(fun r ->
       if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
         Broker.move broker r.Broker.server.Region.id Broker.Shared_buffer);
-  let no_buffer = Emergency.grant broker ~reservation:res ~rru:2.0 ~allow_buffer:false in
+  let reactive = Reactive.create broker in
+  let no_buffer = Emergency.grant ~reactive broker ~reservation:res ~rru:2.0 ~allow_buffer:false in
   Alcotest.(check (float 1e-9)) "nothing without opt-in" 0.0 no_buffer.Emergency.granted_rru;
-  let with_buffer = Emergency.grant broker ~reservation:res ~rru:2.0 ~allow_buffer:true in
+  let with_buffer = Emergency.grant ~reactive broker ~reservation:res ~rru:2.0 ~allow_buffer:true in
   Alcotest.(check bool) "buffer drained with opt-in" true
     (with_buffer.Emergency.granted_rru >= 2.0 && with_buffer.Emergency.took_from_buffer > 0)
 
@@ -623,7 +625,10 @@ let test_solve_repairs_emergency_damage () =
         r.Broker.current = Broker.Free
         && urgent.Reservation.rru_of r.Broker.server.Region.hw > 0.0
       then Broker.move broker r.Broker.server.Region.id (Broker.Reservation 77));
-  let grant = Emergency.grant broker ~reservation:urgent ~rru:8.0 ~allow_buffer:true in
+  let grant =
+    Emergency.grant ~reactive:(Online_mover.reactive mover) broker ~reservation:urgent ~rru:8.0
+      ~allow_buffer:true
+  in
   Alcotest.(check bool) "emergency took buffer servers" true
     (grant.Emergency.took_from_buffer > 0);
   let drained = buffer_capacity (Snapshot.take broker reservations) in

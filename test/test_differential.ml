@@ -1,21 +1,16 @@
-(* Differential solver harness: every pricing rule (Dantzig, Partial,
-   Devex) on every basis backend (dense inverse, LU + eta) against one
-   reference configuration — full Dantzig scan on the dense inverse with
-   the dual-simplex phase off — on a 280-instance seeded corpus of random
+(* Differential solver harness: both pricing rules (Dantzig, Devex) on both
+   basis backends (dense inverse, LU + eta) against one reference
+   configuration — full Dantzig scan on the dense inverse with the
+   dual-simplex phase off — on a 280-instance seeded corpus of random
    bounded LPs and MIPs (140 LP + 60 warm-restart LP + 80 MIP).
 
-   Every generated instance is solved under all six pricing×backend
+   Every generated instance is solved under all four pricing×backend
    combinations; each must agree with the reference on the feasibility
    verdict, the objective value (within 1e-6, scale-relative) and — for
    MIPs — the branch-and-bound best bound.  The generator covers sizes up
    to ~60 rows × 120 columns for LPs and small bounded integer programs
    for MIPs, with free/fixed/one-sided/negative variable bounds and all
-   three row senses.
-
-   The same 280-instance corpus is then re-solved under both
-   triangular-solve kernels (hypersparse traversal vs the dense-oracle
-   full scan) with a strictly tighter contract: bit-identical pivot
-   counts, bases, and search traces, objectives within 1e-9. *)
+   three row senses. *)
 
 open Ras_mip
 module R = Ras_stats.Rng
@@ -24,8 +19,7 @@ let reference_backend = Basis.Dense
 let production_backend = Basis.Lu
 
 (* the full pricing × backend matrix every instance is solved under *)
-let all_pricings =
-  [ ("dantzig", Simplex.Dantzig); ("partial", Simplex.Partial); ("devex", Simplex.Devex) ]
+let all_pricings = [ ("dantzig", Simplex.Dantzig); ("devex", Simplex.Devex) ]
 
 let all_backends = [ ("dense", Basis.Dense); ("lu", Basis.Lu) ]
 
@@ -195,12 +189,7 @@ let test_lp_warm_differential () =
             ~dual_simplex:false ~lb ~ub std
         in
         iter_configs (fun ~pname ~pricing ~bname ~backend ->
-            (* Devex restarts adopt the snapshot's weights: the carry path
-               is the risky one, so it is the one differentially tested *)
-            let produced =
-              Simplex.solve ~pricing ~devex_carry:(pricing = Simplex.Devex) ~backend
-                ~basis ~lb ~ub std
-            in
+            let produced = Simplex.solve ~pricing ~backend ~basis ~lb ~ub std in
             match (reference, produced) with
             | Simplex.Optimal r, Simplex.Optimal p ->
               if Float.abs (r.obj -. p.obj) > obj_tol r.obj then
@@ -272,133 +261,6 @@ let test_mip_differential () =
   Alcotest.(check bool) "enough MIP instances" true (!count >= 80)
 
 (* ------------------------------------------------------------------ *)
-(* Sparse-vs-dense kernel differential                                 *)
-
-(* The two triangular-solve kernels ({!Basis.Hypersparse} graph traversal
-   vs {!Basis.Dense_oracle} full scans) perform bit-identical floating
-   point operations — the entries a traversal skips are structural zeros —
-   so a solve under either kernel must take the *same pivot sequence*, not
-   merely reach the same optimum.  The full 280-instance corpus (the same
-   140 LP + 60 warm-restart + 80 MIP seeds as above) is re-solved here
-   under both kernels × all three pricing rules on the production LU
-   backend, asserting identical pivot counts, identical final bases,
-   matching verdicts, and objectives within 1e-9. *)
-
-let kernel_tol a = 1e-9 *. (1.0 +. Float.abs a)
-
-let check_lp_kernel_pair ?basis ?lb ?ub tag std =
-  List.iter
-    (fun (pname, pricing) ->
-      let solve kernels =
-        Simplex.solve ~pricing ~backend:production_backend ~kernels ?basis ?lb ?ub std
-      in
-      let sparse = solve Basis.Hypersparse and oracle = solve Basis.Dense_oracle in
-      match (sparse, oracle) with
-      | ( Simplex.Optimal
-            { iterations = si; dual_iterations = sdi; obj = so; basis = sb; kstats = sk; _ },
-          Simplex.Optimal
-            { iterations = oi; dual_iterations = odi; obj = oo; basis = ob; kstats = ok; _ } )
-        ->
-        if si <> oi || sdi <> odi then
-          Alcotest.failf "%s [%s]: pivot counts differ: sparse %d/%d vs oracle %d/%d" tag
-            pname si sdi oi odi;
-        if Float.abs (so -. oo) > kernel_tol oo then
-          Alcotest.failf "%s [%s]: objectives differ: %.12g vs %.12g" tag pname so oo;
-        if sb.Simplex.wcols <> ob.Simplex.wcols || sb.Simplex.wstatus <> ob.Simplex.wstatus
-        then Alcotest.failf "%s [%s]: final bases differ" tag pname;
-        if sk.Simplex.bound_flips <> ok.Simplex.bound_flips then
-          Alcotest.failf "%s [%s]: bound-flip counts differ: %d vs %d" tag pname
-            sk.Simplex.bound_flips ok.Simplex.bound_flips
-      | ( Simplex.Infeasible { infeasibility = a },
-          Simplex.Infeasible { infeasibility = b } ) ->
-        if a <> b then
-          Alcotest.failf "%s [%s]: infeasibility counts differ: %d vs %d" tag pname a b
-      | Simplex.Unbounded, Simplex.Unbounded -> ()
-      | s, o ->
-        Alcotest.failf "%s [%s]: verdicts differ: sparse %s vs oracle %s" tag pname
-          (lp_verdict s) (lp_verdict o))
-    all_pricings
-
-let test_lp_kernel_differential () =
-  for seed = 1 to 140 do
-    let rng = R.create (7000 + seed) in
-    let std = random_model rng ~max_rows:60 ~max_cols:120 ~integer_frac:0.0 in
-    check_lp_kernel_pair (Printf.sprintf "lp seed %d" seed) std
-  done
-
-let test_lp_warm_kernel_differential () =
-  let exercised = ref 0 in
-  for seed = 1 to 60 do
-    let rng = R.create (9000 + seed) in
-    let std = random_feasible_model rng ~max_rows:30 ~max_cols:60 in
-    match Simplex.solve ~backend:production_backend std with
-    | Simplex.Optimal { basis; x; _ } ->
-      let j = R.int rng std.Model.nvars in
-      let ub = Array.copy std.Model.ub in
-      let lb = Array.copy std.Model.lb in
-      if R.bool rng then ub.(j) <- Float.min ub.(j) (Float.floor x.(j))
-      else lb.(j) <- Float.max lb.(j) (Float.ceil x.(j));
-      if lb.(j) <= ub.(j) then begin
-        incr exercised;
-        (* warm restart with the dual phase on: the bound-flip ratio test
-           runs here, and its flip counts must agree across kernels too *)
-        check_lp_kernel_pair ~basis ~lb ~ub (Printf.sprintf "warm seed %d" seed) std
-      end
-    | _ -> ()
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "warm restarts exercised (%d)" !exercised)
-    true (!exercised >= 30)
-
-let test_mip_kernel_differential () =
-  for seed = 1 to 80 do
-    let rng = R.create (8000 + seed) in
-    let std = random_model rng ~max_rows:8 ~max_cols:8 ~integer_frac:0.7 in
-    List.iter
-      (fun (pname, pricing) ->
-        let solve kernels =
-          let options =
-            {
-              Branch_bound.default_options with
-              Branch_bound.lp_pricing = pricing;
-              lp_backend = production_backend;
-              lp_kernels = Some kernels;
-              node_limit = 20_000;
-            }
-          in
-          Branch_bound.solve ~options std
-        in
-        let s = solve Basis.Hypersparse and o = solve Basis.Dense_oracle in
-        if s.Branch_bound.status <> o.Branch_bound.status then
-          Alcotest.failf "mip seed %d [%s]: statuses differ: %s vs %s" seed pname
-            (status_name s.Branch_bound.status)
-            (status_name o.Branch_bound.status);
-        if s.Branch_bound.nodes <> o.Branch_bound.nodes
-           || s.Branch_bound.lp_iterations <> o.Branch_bound.lp_iterations
-           || s.Branch_bound.dual_pivots <> o.Branch_bound.dual_pivots
-           || s.Branch_bound.bound_flips <> o.Branch_bound.bound_flips
-        then
-          Alcotest.failf
-            "mip seed %d [%s]: search traces differ: %d/%d/%d/%d vs %d/%d/%d/%d" seed pname
-            s.Branch_bound.nodes s.Branch_bound.lp_iterations s.Branch_bound.dual_pivots
-            s.Branch_bound.bound_flips o.Branch_bound.nodes o.Branch_bound.lp_iterations
-            o.Branch_bound.dual_pivots o.Branch_bound.bound_flips;
-        match s.Branch_bound.status with
-        | Branch_bound.Optimal ->
-          if
-            Float.abs (s.Branch_bound.objective -. o.Branch_bound.objective)
-            > kernel_tol o.Branch_bound.objective
-            || Float.abs (s.Branch_bound.best_bound -. o.Branch_bound.best_bound)
-               > kernel_tol o.Branch_bound.best_bound
-          then
-            Alcotest.failf "mip seed %d [%s]: objectives/bounds differ: %.12g/%.12g vs %.12g/%.12g"
-              seed pname s.Branch_bound.objective s.Branch_bound.best_bound
-              o.Branch_bound.objective o.Branch_bound.best_bound
-        | _ -> ())
-      all_pricings
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Decomposition differential                                          *)
 
 (* POP decomposition against the monolith oracle: a merged solution that
@@ -453,21 +315,12 @@ let test_decompose_differential () =
 
 let suite =
   [
-    Alcotest.test_case "lp: 3 pricing rules x 2 backends match oracle (140 instances)"
-      `Quick test_lp_differential;
+    (* 140 instances x 2 pricing rules x 2 backends *)
+    Alcotest.test_case "lp: all configs match oracle" `Quick test_lp_differential;
     Alcotest.test_case "lp warm restart: all configs match oracle (60 seeds)" `Quick
       test_lp_warm_differential;
     Alcotest.test_case "mip: all configs match oracle bounds/verdicts (80 instances)"
       `Quick test_mip_differential;
-    Alcotest.test_case
-      "kernels lp: sparse vs dense-oracle bit-identical pivots (140 instances)" `Quick
-      test_lp_kernel_differential;
-    Alcotest.test_case
-      "kernels warm lp: sparse vs dense-oracle incl. bound flips (60 seeds)" `Quick
-      test_lp_warm_kernel_differential;
-    Alcotest.test_case
-      "kernels mip: sparse vs dense-oracle identical search traces (80 instances)" `Quick
-      test_mip_kernel_differential;
     Alcotest.test_case "decompose: merged solutions feasible, bounded, deterministic"
       `Quick test_decompose_differential;
   ]

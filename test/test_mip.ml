@@ -521,9 +521,9 @@ let golden_fixtures =
        the dual re-optimization into two bound flips plus one pivot — the
        warm-restart side lives in test_sparse_kernels.ml *)
     ("bound_flip.lp", Lp_opt (-10.5));
-    (* d appears in every row, so its FTRAN reach is the whole factor
-       pattern: the hypersparse traversal must fall back to the full scan
-       and still agree with the oracle (d = 4 caps every row, x_i = 0) *)
+    (* d appears in every row, so its FTRAN result is fully dense: the
+       sparse-result solves must still agree with the oracle (d = 4 caps
+       every row, x_i = 0) *)
     ("dense_col.lp", Lp_opt (-80.0));
   ]
 
@@ -571,7 +571,7 @@ let test_golden_pricing_rules () =
      differential harness *)
   List.iter
     (fun pricing -> List.iter (check_golden ~pricing Basis.Lu) golden_fixtures)
-    [ Simplex.Dantzig; Simplex.Partial; Simplex.Devex ]
+    [ Simplex.Dantzig; Simplex.Devex ]
 
 (* ---------- Cycling-prone fixtures and the Bland fallback ----------
 
@@ -596,7 +596,7 @@ let test_cycling_terminates_all_rules () =
                 Alcotest.(check bool) (name ^ " solution feasible") true (feasible std x)
               | _ -> Alcotest.failf "%s: expected optimal" name)
             [ Basis.Lu; Basis.Dense ])
-        [ Simplex.Dantzig; Simplex.Partial; Simplex.Devex ])
+        [ Simplex.Dantzig; Simplex.Devex ])
     cycling_fixtures
 
 let test_bland_fallback_triggers () =
@@ -615,7 +615,7 @@ let test_bland_fallback_triggers () =
             Alcotest.(check (float 1e-6)) (name ^ " objective under bland") want obj;
             if bland_iterations > 0 then incr hits
           | _ -> Alcotest.failf "%s: expected optimal under degen_limit:0" name)
-        [ Simplex.Dantzig; Simplex.Partial; Simplex.Devex ])
+        [ Simplex.Dantzig; Simplex.Devex ])
     cycling_fixtures;
   Alcotest.(check bool)
     (Printf.sprintf "bland fallback engaged (%d solves)" !hits)

@@ -1,12 +1,13 @@
 (* Tier-1 reactive repair battery.
 
    Pins, in order: the incremental availability index never drifts from a
-   fresh rebuild under churn (including region growth); the columnar
-   emergency grant is grant-for-grant identical to the retained full-scan
-   oracle while visiting a bounded prefix of the region; the columnar
-   replacement search equals the reference scan decision-for-decision on
-   seeded failure storms; the reactive (price-guided) paths stay inside the
-   reference's preference classes and respect the dual prices; the
+   fresh rebuild under churn (including region growth); the emergency
+   grant covers what the full-scan oracle ([Oracles.grant_reference])
+   covers, free pool before buffer, while visiting only the servers it
+   takes, and refuses an index bound to another broker; the replacement
+   search stays inside the oracle's preference classes on seeded failure
+   storms and respects the dual prices; a mover built without an index
+   repairs through its own, and a system shares its mover's; the
    replace_failed swap leaves no double-counted capacity behind (checked
    through the Symmetry current-owner histograms); loan bookkeeping
    round-trips under double failures; and the tier-2 objective drift caused
@@ -98,7 +99,7 @@ let test_index_survives_region_growth () =
   Alcotest.(check int) "every free healthy server indexed" (Broker.count_owner broker Broker.Free)
     !total_free
 
-(* ---------- emergency grant: columnar vs full-scan oracle ---------- *)
+(* ---------- emergency grant: reactive vs full-scan oracle ---------- *)
 
 (* Run the same pre-grant damage on both brokers so their columns agree. *)
 let seed_buffer_and_damage broker =
@@ -114,46 +115,73 @@ let seed_buffer_and_damage broker =
     Broker.set_in_use broker (Rng.int rng n) true
   done
 
+(* The price-guided grant may serve other servers than the id-ordered
+   scan, but it must grant the same RRU, drain the free pool before the
+   buffer, and draw as many servers from the buffer. *)
 let test_grant_matches_oracle () =
-  let a = fresh_broker () and b = fresh_broker () in
-  seed_buffer_and_damage a;
-  seed_buffer_and_damage b;
   let res = reservation_of_rru ~id:1 6.0 in
   List.iter
-    (fun allow_buffer ->
-      let g = Emergency.grant a ~reservation:res ~rru:6.0 ~allow_buffer in
-      let o = Emergency.grant_reference b ~reservation:res ~rru:6.0 ~allow_buffer in
-      Alcotest.(check (list int))
-        (Printf.sprintf "same servers (allow_buffer=%b)" allow_buffer)
-        o.Emergency.servers g.Emergency.servers;
-      Alcotest.(check (float 1e-9)) "same rru" o.Emergency.granted_rru g.Emergency.granted_rru;
-      Alcotest.(check int) "same buffer draw" o.Emergency.took_from_buffer
+    (fun (allow_buffer, rru) ->
+      let a = fresh_broker () and b = fresh_broker () in
+      seed_buffer_and_damage a;
+      seed_buffer_and_damage b;
+      let reactive = Reactive.create a in
+      let owner_before = Array.init (Broker.num_servers a) (Broker.current_code a) in
+      let g = Emergency.grant ~reactive a ~reservation:res ~rru ~allow_buffer in
+      let o = Oracles.grant_reference b ~reservation:res ~rru ~allow_buffer in
+      let tag = Printf.sprintf "(allow_buffer=%b, rru=%g)" allow_buffer rru in
+      Alcotest.(check (float 1e-9)) ("same rru " ^ tag) o.Emergency.granted_rru
+        g.Emergency.granted_rru;
+      Alcotest.(check int) ("same buffer draw " ^ tag) o.Emergency.took_from_buffer
         g.Emergency.took_from_buffer;
-      Alcotest.(check bool) "columnar visits no more than the oracle" true
-        (g.Emergency.visited <= o.Emergency.visited))
-    [ false; true ]
+      let from_free = List.length g.Emergency.servers - g.Emergency.took_from_buffer in
+      List.iteri
+        (fun i id ->
+          let expected = if i < from_free then Broker.Free else Broker.Shared_buffer in
+          Alcotest.(check int)
+            (Printf.sprintf "server %d drawn free pool first %s" id tag)
+            (Broker.owner_code expected) owner_before.(id))
+        g.Emergency.servers;
+      Alcotest.(check bool) ("visits only what it takes " ^ tag) true
+        (g.Emergency.visited = List.length g.Emergency.servers
+        && g.Emergency.visited <= o.Emergency.visited))
+    [ (false, 6.0); (true, 6.0); (true, 1e4) ]
 
 let test_grant_terminates_early () =
   let broker = fresh_broker () in
+  let reactive = Reactive.create broker in
   let res = reservation_of_rru ~id:1 2.0 in
   let n = Broker.num_servers broker in
   let alloc0 = Gc.allocated_bytes () in
-  let g = Emergency.grant broker ~reservation:res ~rru:2.0 ~allow_buffer:false in
+  let g = Emergency.grant ~reactive broker ~reservation:res ~rru:2.0 ~allow_buffer:false in
   let alloc = Gc.allocated_bytes () -. alloc0 in
   Alcotest.(check bool) "covered" true (g.Emergency.granted_rru >= 2.0);
   (* the whole free pool is acceptable compute-heavy supply, so coverage
-     must come from a short prefix — not a full scan *)
+     must come from a few servers — not a full scan *)
   Alcotest.(check bool)
     (Printf.sprintf "early termination (visited %d of %d)" g.Emergency.visited n)
     true
     (g.Emergency.visited < n);
-  (* columnar path materializes no records: allocation is O(grant), not
-     O(region) — a generous fixed budget catches an O(n) record build *)
+  (* the grant materializes no records: allocation is O(classes + grant),
+     not O(region) — a generous fixed budget catches an O(n) record build *)
   Alcotest.(check bool)
     (Printf.sprintf "allocation bounded (%.0f bytes)" alloc)
     true (alloc < 64_000.0)
 
-(* ---------- replacement search: columnar vs oracle on storms ---------- *)
+let test_grant_rejects_foreign_index () =
+  let broker = fresh_broker () in
+  let reactive = Reactive.create (fresh_broker ()) in
+  let res = reservation_of_rru ~id:1 2.0 in
+  let owners = Array.init (Broker.num_servers broker) (Broker.current_code broker) in
+  Alcotest.check_raises "index of another broker"
+    (Invalid_argument "Emergency.grant: reactive index is bound to a different broker")
+    (fun () ->
+      ignore (Emergency.grant ~reactive broker ~reservation:res ~rru:2.0 ~allow_buffer:true));
+  Alcotest.(check bool) "no server moved" true
+    (Array.for_all Fun.id
+       (Array.mapi (fun id c -> Broker.current_code broker id = c) owners))
+
+(* ---------- replacement search vs the oracle on storms ---------- *)
 
 let storm_world () =
   let broker = fresh_broker () in
@@ -178,6 +206,22 @@ let storm_world () =
       end);
   (broker, res, mover, List.rev !bound)
 
+(* The reactive pick may differ from the oracle's server, but only inside
+   the same preference class: same subtype-match rank and same source
+   kind. *)
+let check_same_class broker ~failed_hw reference fast =
+  let region = Broker.region broker in
+  match (reference, fast) with
+  | None, None -> ()
+  | Some r, Some f ->
+    let cls id =
+      ( region.Region.servers.(id).Region.hw.Hw.index = failed_hw,
+        Broker.current_code broker id )
+    in
+    Alcotest.(check (pair bool int)) "same preference class" (cls r) (cls f)
+  | Some _, None -> Alcotest.fail "reactive found nothing where the oracle found a server"
+  | None, Some _ -> Alcotest.fail "reactive found a server the oracle could not"
+
 let test_replacement_matches_oracle_on_storm () =
   let broker, res, mover, bound = storm_world () in
   let rng = Rng.create 13 in
@@ -187,10 +231,10 @@ let test_replacement_matches_oracle_on_storm () =
         let failed_hw =
           (Broker.region broker).Region.servers.(victim).Region.hw.Hw.index
         in
-        (* decision equality BEFORE the state advances... *)
+        (* decision class equality BEFORE the state advances... *)
         let fast = Online_mover.find_replacement mover res ~failed_hw in
-        let slow = Online_mover.find_replacement_reference mover res ~failed_hw in
-        Alcotest.(check (option int)) "scan equals oracle" slow fast;
+        let slow = Oracles.find_replacement_reference broker mover res ~failed_hw in
+        check_same_class broker ~failed_hw slow fast;
         (* ...then advance it: fail the victim, let the mover repair *)
         Broker.mark_down broker victim Unavail.Unplanned_hw;
         (* occasionally sprinkle extra churn between events *)
@@ -199,33 +243,64 @@ let test_replacement_matches_oracle_on_storm () =
       end)
     bound;
   Alcotest.(check bool) "storm produced replacements" true
-    (Online_mover.replacements_done mover > 0)
+    (Online_mover.replacements_done mover > 0);
+  check_index_matches_rebuild (Online_mover.reactive mover)
 
 let test_reactive_replacement_same_class () =
-  (* the reactive path may pick a different server than the scans, but only
-     inside the same preference class: same subtype-match rank and same
-     source kind *)
+  (* a mover sharing an explicitly created index answers like the oracle
+     up to the tie-break inside a preference class *)
   let broker, res, mover, bound = storm_world () in
   let reactive = Reactive.create broker in
   let rmover = Online_mover.create ~reactive broker in
+  Alcotest.(check bool) "shares the given index" true (Online_mover.reactive rmover == reactive);
   Online_mover.set_reservations rmover [ res ];
   let region = Broker.region broker in
   List.iter
     (fun victim ->
       let failed_hw = region.Region.servers.(victim).Region.hw.Hw.index in
-      let reference = Online_mover.find_replacement_reference mover res ~failed_hw in
+      let reference = Oracles.find_replacement_reference broker mover res ~failed_hw in
       let fast = Online_mover.find_replacement rmover res ~failed_hw in
-      match (reference, fast) with
-      | None, None -> ()
-      | Some r, Some f ->
-        let cls id =
-          ( region.Region.servers.(id).Region.hw.Hw.index = failed_hw,
-            Broker.current_code broker id )
-        in
-        Alcotest.(check (pair bool int)) "same preference class" (cls r) (cls f)
-      | Some _, None -> Alcotest.fail "reactive found nothing where the oracle found a server"
-      | None, Some _ -> Alcotest.fail "reactive found a server the oracle could not")
+      check_same_class broker ~failed_hw reference fast)
     bound
+
+let test_mover_builds_own_index () =
+  let broker = fresh_broker () in
+  let res = reservation_of_rru ~id:1 4.0 in
+  let mover = Online_mover.create broker in
+  Online_mover.set_reservations mover [ res ];
+  let ri = Online_mover.reactive mover in
+  Alcotest.(check bool) "index bound to the mover's broker" true (Reactive.broker ri == broker);
+  Broker.move broker 0 (Broker.Reservation 1);
+  Broker.move broker 1 (Broker.Reservation 1);
+  for id = 2 to 7 do
+    Broker.move broker id Broker.Shared_buffer
+  done;
+  let before = Reactive.counters ri in
+  Broker.mark_down broker 0 Unavail.Unplanned_hw;
+  Broker.mark_down broker 1 Unavail.Unplanned_sw;
+  Alcotest.(check int) "both failures repaired" 2 (Online_mover.replacements_done mover);
+  let after = Reactive.counters ri in
+  Alcotest.(check int) "repairs served by the index" (before.Reactive.events + 2)
+    after.Reactive.events;
+  Alcotest.(check bool) "index absorbed the moves" true
+    (after.Reactive.index_updates > before.Reactive.index_updates);
+  (* churn, then the incremental index must equal a fresh rebuild *)
+  let n = Broker.num_servers broker in
+  let rng = Rng.create 5 in
+  for _ = 1 to 500 do
+    let id = Rng.int rng n in
+    match Rng.int rng 4 with
+    | 0 -> Broker.move broker id Broker.Shared_buffer
+    | 1 -> Broker.move broker id Broker.Free
+    | 2 -> Broker.mark_up broker id
+    | _ -> Broker.set_in_use broker id (Rng.bool rng)
+  done;
+  check_index_matches_rebuild ri
+
+let test_system_shares_mover_index () =
+  let sys = System.create (fresh_broker ()) in
+  Alcotest.(check bool) "one index per system" true
+    (System.reactive sys == Online_mover.reactive (System.mover sys))
 
 let test_reactive_respects_prices () =
   let broker = fresh_broker () in
@@ -354,8 +429,7 @@ let test_tier1_repair_drift_bounded () =
   in
   let repair use_reactive =
     let broker, reservations = build () in
-    let reactive = if use_reactive then Some (Reactive.create broker) else None in
-    let mover = Online_mover.create ?reactive broker in
+    let mover = Online_mover.create broker in
     Online_mover.set_reservations mover reservations;
     (* bind capacity with one heuristic round *)
     let snapshot = Snapshot.take broker reservations in
@@ -365,9 +439,9 @@ let test_tier1_repair_drift_bounded () =
         snapshot
     in
     ignore (Online_mover.apply_plan mover stats.Async_solver.plan);
-    (match (reactive, stats.Async_solver.price_table) with
-    | Some ri, Some p -> Reactive.set_prices ri p
-    | _ -> ());
+    (match stats.Async_solver.price_table with
+    | Some p -> Reactive.set_prices (Online_mover.reactive mover) p
+    | None -> ());
     (* deterministic storm over reservation-bound servers *)
     let victims = ref [] in
     Broker.iter broker ~f:(fun r ->
@@ -375,8 +449,39 @@ let test_tier1_repair_drift_bounded () =
         | Broker.Reservation rid when rid < 8000 && List.length !victims < 8 ->
           victims := r.Broker.server.Region.id :: !victims
         | _ -> ());
-    List.iter (fun id -> Broker.mark_down broker id Unavail.Unplanned_hw) (List.rev !victims);
-    (solve_objective broker reservations, Online_mover.replacements_done mover)
+    let victims = List.rev !victims in
+    let repaired =
+      if use_reactive then begin
+        List.iter (fun id -> Broker.mark_down broker id Unavail.Unplanned_hw) victims;
+        Online_mover.replacements_done mover
+      end
+      else begin
+        (* the oracle repair: the mover stands down (no reservations) and
+           the full-scan reference picks each replacement, with the same
+           swap the mover performs *)
+        Online_mover.set_reservations mover [];
+        List.fold_left
+          (fun repaired id ->
+            let rid =
+              match Broker.current_owner broker id with
+              | Broker.Reservation rid -> rid
+              | _ -> assert false
+            in
+            let res = List.find (fun r -> r.Reservation.id = rid) reservations in
+            let failed_hw = (Broker.region broker).Region.servers.(id).Region.hw.Hw.index in
+            Broker.mark_down broker id Unavail.Unplanned_hw;
+            match Oracles.find_replacement_reference broker mover res ~failed_hw with
+            | Some r ->
+              Broker.move broker r (Broker.Reservation rid);
+              Broker.set_target broker r (Broker.Reservation rid);
+              Broker.move broker id Broker.Shared_buffer;
+              Broker.set_target broker id Broker.Shared_buffer;
+              repaired + 1
+            | None -> repaired)
+          0 victims
+      end
+    in
+    (solve_objective broker reservations, repaired)
   in
   let obj_oracle, repl_oracle = repair false in
   let obj_reactive, repl_reactive = repair true in
@@ -453,9 +558,10 @@ let test_scale_grant_bounded () =
   if not (full_scale ()) then () (* 10^6-server pin: RAS_SCALE_TESTS=full only *)
   else begin
     let broker, res, _ = scale_world () in
+    let reactive = Reactive.create broker in
     let n = Broker.num_servers broker in
     let alloc0 = Gc.allocated_bytes () in
-    let g = Emergency.grant broker ~reservation:res ~rru:50.0 ~allow_buffer:false in
+    let g = Emergency.grant ~reactive broker ~reservation:res ~rru:50.0 ~allow_buffer:false in
     let alloc = Gc.allocated_bytes () -. alloc0 in
     Alcotest.(check bool) "covered" true (g.Emergency.granted_rru >= 50.0);
     Alcotest.(check bool)
@@ -473,10 +579,15 @@ let suite =
     Alcotest.test_case "index survives region growth" `Quick test_index_survives_region_growth;
     Alcotest.test_case "grant matches oracle" `Quick test_grant_matches_oracle;
     Alcotest.test_case "grant terminates early" `Quick test_grant_terminates_early;
+    Alcotest.test_case "grant rejects an index of another broker" `Quick
+      test_grant_rejects_foreign_index;
     Alcotest.test_case "replacement matches oracle on storm" `Quick
       test_replacement_matches_oracle_on_storm;
     Alcotest.test_case "reactive replacement stays in class" `Quick
       test_reactive_replacement_same_class;
+    Alcotest.test_case "mover without an index repairs through its own" `Quick
+      test_mover_builds_own_index;
+    Alcotest.test_case "system shares its mover's index" `Quick test_system_shares_mover_index;
     Alcotest.test_case "reactive grant respects prices" `Quick test_reactive_respects_prices;
     Alcotest.test_case "price table parsing" `Quick test_price_table_parsing;
     Alcotest.test_case "replace_failed releases dead server" `Quick

@@ -1,14 +1,14 @@
-(* Property tests pinning the hypersparse triangular-solve kernels
-   directly at the {!Basis} layer (the solver-level pinning lives in
-   test_differential.ml's kernel battery):
+(* Property tests pinning the sparse-result triangular solves directly at
+   the {!Basis} layer (the solver-level pinning lives in
+   test_differential.ml):
 
-   - seeded random sparse systems: FTRAN/BTRAN under the hypersparse
-     traversal must be bit-identical to the dense-oracle full scan, and
-     both must agree with the plain dense entry points to 1e-9;
+   - seeded random sparse systems: sparse-result FTRAN/BTRAN on the LU
+     backend must agree to 1e-9 with the dense Gauss–Jordan backend (the
+     solver oracle) and with the plain dense entry points;
    - round trips: B·(B⁻¹b) recovers b through the factorization, before
      and after product-form eta updates;
-   - the fully-dense-column worst case, where the traversal's reach is the
-     whole factor pattern and the kernel falls back to the full scan;
+   - the fully-dense-column worst case, where the result's pattern is the
+     whole basis;
    - the bound-flip (long-step) dual ratio test on the bound_flip.lp
      golden fixture, warm-restarted the way branch-and-bound does it;
    - the solver-owned workspace: repeated warm solves through one
@@ -34,9 +34,8 @@ let random_sparse_matrix rng m =
       done;
       !entries)
 
-let factorized rng kernels m cols =
-  ignore rng;
-  let t = Basis.create ~kernels Basis.Lu ~m in
+let factorized kind m cols =
+  let t = Basis.create kind ~m in
   Basis.refactorize t
     ~basis:(Array.init m (fun i -> i))
     ~col:(fun j f -> List.iter (fun (i, v) -> f i v) cols.(j));
@@ -65,11 +64,11 @@ let svec_dense m (s : Basis.Svec.t) =
   done;
   d
 
-let check_bit_identical tag a b =
+let check_close tag a b =
   Array.iteri
     (fun i va ->
-      if va <> b.(i) then
-        Alcotest.failf "%s: kernels disagree at %d: %h vs %h" tag i va b.(i))
+      if Float.abs (va -. b.(i)) > 1e-9 *. (1.0 +. Float.abs va) then
+        Alcotest.failf "%s: disagree at %d: %.12g vs %.12g" tag i va b.(i))
     a
 
 (* B·x for the tracked column set, x indexed by basis position *)
@@ -95,37 +94,26 @@ let test_random_sparse_triangular () =
     let rng = R.create (11_000 + seed) in
     let m = 5 + R.int rng 56 in
     let cols = random_sparse_matrix rng m in
-    let th = factorized rng Basis.Hypersparse m cols in
-    let td = factorized rng Basis.Dense_oracle m cols in
+    let th = factorized Basis.Lu m cols in
+    let td = factorized Basis.Dense m cols in
     (* current basis columns by position; updated as etas are applied *)
     let cur = Array.init m (fun i -> cols.(i)) in
     for pass = 1 to 3 do
-      (* FTRAN: traversal vs oracle bit-identical, dense path to 1e-9 *)
+      (* FTRAN: LU sparse result vs the dense-backend oracle and the dense
+         entry point, to 1e-9 *)
       let rows, coefs = random_rhs rng m in
       let tag = Printf.sprintf "seed %d pass %d" seed pass in
       let xh = svec_dense m (Basis.ftran_col_sparse th rows coefs ~off:0 ~len:(Array.length rows)) in
       let xd = svec_dense m (Basis.ftran_col_sparse td rows coefs ~off:0 ~len:(Array.length rows)) in
-      check_bit_identical (tag ^ " ftran") xh xd;
-      let x_dense = Basis.ftran_col th rows coefs in
-      Array.iteri
-        (fun i v ->
-          if Float.abs (v -. x_dense.(i)) > 1e-9 *. (1.0 +. Float.abs v) then
-            Alcotest.failf "%s: sparse vs dense ftran at %d: %.12g vs %.12g" tag i v
-              x_dense.(i))
-        xh;
+      check_close (tag ^ " ftran vs oracle") xh xd;
+      check_close (tag ^ " sparse vs dense ftran") xh (Basis.ftran_col th rows coefs);
       check_round_trip (tag ^ " ftran") m cur xh rows coefs;
-      (* BTRAN: a random row of the inverse, traversal vs oracle vs dense *)
+      (* BTRAN: a random row of the inverse, sparse vs oracle vs dense *)
       let r = R.int rng m in
       let yh = svec_dense m (Basis.btran_unit_sparse th r) in
       let yd = svec_dense m (Basis.btran_unit_sparse td r) in
-      check_bit_identical (tag ^ " btran") yh yd;
-      let y_dense = Basis.row_of_inverse th r in
-      Array.iteri
-        (fun i v ->
-          if Float.abs (v -. y_dense.(i)) > 1e-9 *. (1.0 +. Float.abs v) then
-            Alcotest.failf "%s: sparse vs dense btran at %d: %.12g vs %.12g" tag i v
-              y_dense.(i))
-        yh;
+      check_close (tag ^ " btran vs oracle") yh yd;
+      check_close (tag ^ " sparse vs dense btran") yh (Basis.row_of_inverse th r);
       (* push a product-form eta and keep testing against the updated basis:
          enter a fresh random column at the position of its largest alpha *)
       let erows, ecoefs = random_rhs rng m in
@@ -146,23 +134,22 @@ let test_random_sparse_triangular () =
   done
 
 let test_dense_column_fallback () =
-  (* one column touching every row: the traversal's reach is the entire
-     factor pattern, forcing the full-scan fallback — which must stay
-     bit-identical to the oracle and still solve correctly *)
+  (* one column touching every row: the FTRAN result is dense, and the
+     sparse-result path must still match the oracle and solve correctly *)
   for seed = 1 to 10 do
     let rng = R.create (12_000 + seed) in
     let m = 20 + R.int rng 21 in
     let cols = random_sparse_matrix rng m in
     cols.(0) <-
       List.init m (fun i -> (i, if i = 0 then 3.0 +. R.float rng 2.0 else R.float rng 1.0 -. 0.5));
-    let th = factorized rng Basis.Hypersparse m cols in
-    let td = factorized rng Basis.Dense_oracle m cols in
+    let th = factorized Basis.Lu m cols in
+    let td = factorized Basis.Dense m cols in
     let rows = Array.init m (fun i -> i) in
     let coefs = Array.init m (fun _ -> R.float rng 4.0 -. 2.0) in
     let tag = Printf.sprintf "dense-col seed %d" seed in
     let xh = svec_dense m (Basis.ftran_col_sparse th rows coefs ~off:0 ~len:m) in
     let xd = svec_dense m (Basis.ftran_col_sparse td rows coefs ~off:0 ~len:m) in
-    check_bit_identical tag xh xd;
+    check_close tag xh xd;
     check_round_trip tag m (Array.init m (fun i -> cols.(i))) xh rows coefs
   done
 
@@ -185,16 +172,12 @@ let test_bound_flip_dual_restart () =
        pivot brings x6 in *)
     let ub = Array.copy std.Model.ub in
     ub.(2) <- 0.0;
-    List.iter
-      (fun kernels ->
-        match Simplex.solve ~basis ~ub ~kernels std with
-        | Simplex.Optimal { obj; dual_iterations; kstats; _ } ->
-          Alcotest.(check (float 1e-6)) "warm objective" (-9.725) obj;
-          Alcotest.(check bool) "dual phase ran" true (dual_iterations > 0);
-          Alcotest.(check int) "long-step bound flips" 2
-            kstats.Simplex.bound_flips
-        | _ -> Alcotest.fail "warm restart: expected optimal")
-      [ Basis.Hypersparse; Basis.Dense_oracle ]
+    (match Simplex.solve ~basis ~ub std with
+    | Simplex.Optimal { obj; dual_iterations; kstats; _ } ->
+      Alcotest.(check (float 1e-6)) "warm objective" (-9.725) obj;
+      Alcotest.(check bool) "dual phase ran" true (dual_iterations > 0);
+      Alcotest.(check int) "long-step bound flips" 2 kstats.Simplex.bound_flips
+    | _ -> Alcotest.fail "warm restart: expected optimal")
   | _ -> Alcotest.fail "bound_flip.lp: expected optimal"
 
 (* ------------------------------------------------------------------ *)
@@ -249,25 +232,9 @@ let test_workspace_alloc_bound () =
   if reused > 25_000.0 then
     Alcotest.failf "reused-workspace solve allocates %.0f words (bound 25000)" reused
 
-(* ------------------------------------------------------------------ *)
-(* Kernel-mode selection via the environment                           *)
-
-let test_kernels_of_env () =
-  let saved = Sys.getenv_opt "RAS_LP_KERNELS" in
-  let restore () =
-    match saved with Some v -> Unix.putenv "RAS_LP_KERNELS" v | None -> Unix.putenv "RAS_LP_KERNELS" ""
-  in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "RAS_LP_KERNELS" "dense";
-      Alcotest.(check bool) "dense forces the oracle" true
-        (Basis.kernels_of_env () = Basis.Dense_oracle);
-      Unix.putenv "RAS_LP_KERNELS" "sparse";
-      Alcotest.(check bool) "anything else is hypersparse" true
-        (Basis.kernels_of_env () = Basis.Hypersparse))
-
 let suite =
   [
-    Alcotest.test_case "random sparse systems: traversal == oracle, round trips" `Quick
+    Alcotest.test_case "random sparse systems vs oracle" `Quick
       test_random_sparse_triangular;
     Alcotest.test_case "fully dense column falls back without diverging" `Quick
       test_dense_column_fallback;
@@ -275,5 +242,4 @@ let suite =
       test_bound_flip_dual_restart;
     Alcotest.test_case "workspace reuse bounds per-solve allocation" `Quick
       test_workspace_alloc_bound;
-    Alcotest.test_case "RAS_LP_KERNELS selects the kernel" `Quick test_kernels_of_env;
   ]

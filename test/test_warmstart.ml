@@ -167,7 +167,6 @@ let test_stale_basis_falls_back () =
       Simplex.wcols = Array.make (Array.length first.basis.Simplex.wcols) 0;
       wstatus = first.basis.Simplex.wstatus;
       wfac = None;
-      wdevex = None;
     }
   in
   let out = solve_exn ~basis:bogus std in
