@@ -62,14 +62,7 @@ let run () =
     end;
     let reservations = enabled @ buffers () in
     Ras.Online_mover.set_reservations mover reservations;
-    let enabled_owners =
-      List.map
-        (fun r ->
-          match r.Ras.Reservation.kind with
-          | Ras.Reservation.Guaranteed -> Broker.Reservation r.Ras.Reservation.id
-          | Ras.Reservation.Random_failure_buffer _ -> Broker.Shared_buffer)
-        reservations
-    in
+    let enabled_owners = List.map Ras.Reservation.owner reservations in
     let include_server (v : Ras.Snapshot.server_view) =
       v.Ras.Snapshot.current = Broker.Free
       || v.Ras.Snapshot.current = Broker.Shared_buffer

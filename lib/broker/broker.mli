@@ -2,8 +2,10 @@
 
     For every server the broker keeps the fields of Fig. 6's "Solve Input"
     table: the {e current} owner (who holds the server now), the {e target}
-    owner (the binding intent written by the Async Solver), whether the
-    server is lent out elastically, and its unavailability state.  The Twine
+    owner (the last binding intent written for the server: plans write it
+    only for the servers they move, so [target <> current] marks a planned
+    move not carried out yet), whether the server is lent out elastically,
+    and its unavailability state.  The Twine
     allocator and the Online Mover subscribe to unavailability changes.
 
     The production broker is highly-available replicated storage; behaviour
@@ -90,7 +92,9 @@ val subscribe_changes : t -> (int -> unit) -> unit
     id re-entrantly. *)
 
 val set_target : t -> int -> owner -> unit
-(** Record binding intent (solver output step 3 in Fig. 6). *)
+(** Record binding intent (solver output step 3 in Fig. 6).  Writers name
+    single servers — a plan's moves, applied or skipped, and the servers a
+    tier-1 path binds — so every other server keeps its target. *)
 
 val move : t -> int -> owner -> unit
 (** Change [current] ownership (the Online Mover's capacity-binding step).

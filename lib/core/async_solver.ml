@@ -50,48 +50,63 @@ type stats = {
   price_table : Solver_state.price_table option;
 }
 
-let owner_of_res res =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
+(* Rack-spread overflow of every rack-limited reservation under the
+   phase-1 owner codes [target] — the phase-2 selection criterion
+   ("reservations with the worst rack-level objectives are prioritized",
+   §3.5.2).  One pass over the phase-1 class members, so unusable and
+   filtered servers never count. *)
+let rack_overflows (f : Formulation.t) target reservations =
+  let sym = f.Formulation.symmetry in
+  let limited =
+    List.filter_map
+      (fun res -> Option.map (fun a -> (res, a, Hashtbl.create 32)) res.Reservation.rack_spread_limit)
+      reservations
+  in
+  Array.iter
+    (fun (cls : Symmetry.cls) ->
+      let counted =
+        List.filter_map
+          (fun (res, _, per_rack) ->
+            let rru = res.Reservation.rru_of (Symmetry.hw_of cls) in
+            if rru > 0.0 then Some (Broker.owner_code (Reservation.owner res), rru, per_rack)
+            else None)
+          limited
+      in
+      if counted <> [] then
+        Array.iter
+          (fun id ->
+            List.iter
+              (fun (code, rru, per_rack) ->
+                if target.(id) = code then begin
+                  let rack = (Snapshot.server sym.Symmetry.snapshot id).Region.loc.Region.rack in
+                  let cur = Option.value ~default:0.0 (Hashtbl.find_opt per_rack rack) in
+                  Hashtbl.replace per_rack rack (cur +. rru)
+                end)
+              counted)
+          cls.Symmetry.members)
+    sym.Symmetry.classes;
+  List.map
+    (fun (res, alpha_k, per_rack) ->
+      let limit = alpha_k *. res.Reservation.capacity_rru in
+      (res, Hashtbl.fold (fun _ v acc -> acc +. Float.max 0.0 (v -. limit)) per_rack 0.0))
+    limited
 
-(* Rack-spread overflow of a reservation under a target map — the phase-2
-   selection criterion ("reservations with the worst rack-level objectives
-   are prioritized", §3.5.2). *)
-let rack_overflow (snapshot : Snapshot.t) targets res =
-  match res.Reservation.rack_spread_limit with
-  | None -> 0.0
-  | Some alpha_k ->
-    let owner = owner_of_res res in
-    let per_rack = Hashtbl.create 32 in
-    Hashtbl.iter
-      (fun id target ->
-        if target = owner then begin
-          let s = Snapshot.server snapshot id in
-          let rru = res.Reservation.rru_of s.Region.hw in
-          if rru > 0.0 then begin
-            let rack = s.Region.loc.Region.rack in
-            let cur = try Hashtbl.find per_rack rack with Not_found -> 0.0 in
-            Hashtbl.replace per_rack rack (cur +. rru)
-          end
-        end)
-      targets;
-    let limit = alpha_k *. res.Reservation.capacity_rru in
-    Hashtbl.fold (fun _ v acc -> acc +. Float.max 0.0 (v -. limit)) per_rack 0.0
-
-let with_targets (snapshot : Snapshot.t) targets =
-  let current = Array.copy snapshot.Snapshot.current in
-  let in_use = Bytes.copy snapshot.Snapshot.in_use in
-  Hashtbl.iter
-    (fun id owner ->
-      let code = Broker.owner_code owner in
-      if current.(id) <> code then begin
-        (* a moved server is preempted: it arrives idle *)
-        current.(id) <- code;
-        Bytes.set in_use id '\000'
-      end)
-    targets;
-  { snapshot with Snapshot.current; in_use }
+(* Merge the two phases' ascending move lists.  On a server both moved,
+   phase 2's [to_] wins over phase 1's move, whose [from_]/[was_in_use] are
+   the snapshot's, and a server back on its snapshot owner drops out.  A
+   server only phase 2 moved was untouched by phase 1, so its move already
+   reads the snapshot. *)
+let merge_moves moves1 moves2 =
+  let rec go acc m1 m2 =
+    match (m1, m2) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | (a : Concretize.move) :: t1, (b : Concretize.move) :: t2 ->
+      if a.Concretize.server < b.Concretize.server then go (a :: acc) t1 m2
+      else if b.Concretize.server < a.Concretize.server then go (b :: acc) m1 t2
+      else if b.Concretize.to_ = a.Concretize.from_ then go acc t1 t2
+      else go ({ a with Concretize.to_ = b.Concretize.to_ } :: acc) t1 t2
+  in
+  go [] moves1 moves2
 
 let solve ?(params = default_params) ?include_server ?state (snapshot : Snapshot.t) =
   let start = Unix.gettimeofday () in
@@ -108,43 +123,47 @@ let solve ?(params = default_params) ?include_server ?state (snapshot : Snapshot
   in
   let assignment1 = Formulation.decode phase1.Phases.formulation phase1.Phases.solution in
   let plan1 = Concretize.plan phase1.Phases.formulation assignment1 in
-  let targets = Hashtbl.create 1024 in
-  List.iter (fun (id, owner) -> Hashtbl.replace targets id owner) plan1.Concretize.targets;
-  (* ---- phase 2: rack refinement for the worst reservations ---- *)
-  let phase2 =
-    if not params.run_phase2 then None
+  (* ---- phase 2: rack refinement for the worst reservations, its moves
+     merged over phase 1's ---- *)
+  let phase2, plan =
+    if not params.run_phase2 then (None, plan1)
     else begin
+      (* the snapshot after phase 1: its moves applied, and a moved server
+         preempted, so it arrives idle *)
+      let target = Array.copy snapshot.Snapshot.current in
+      let in_use = Bytes.copy snapshot.Snapshot.in_use in
+      List.iter
+        (fun (m : Concretize.move) ->
+          target.(m.Concretize.server) <- Broker.owner_code m.Concretize.to_;
+          Bytes.set in_use m.Concretize.server '\000')
+        plan1.Concretize.moves;
       let scored =
-        List.filter_map
-          (fun res ->
-            let overflow = rack_overflow snapshot targets res in
-            if overflow > 1e-6 then Some (overflow, res) else None)
-          reservations
+        List.filter (fun (_, overflow) -> overflow > 1e-6)
+          (rack_overflows phase1.Phases.formulation target reservations)
       in
-      if scored = [] then None
+      if scored = [] then (None, plan1)
       else begin
-        let scored = List.sort (fun (a, _) (b, _) -> compare b a) scored in
+        let scored = List.sort (fun (_, a) (_, b) -> compare b a) scored in
         let quota =
           Int.max 1 (int_of_float (params.phase2_fraction *. float_of_int (List.length reservations)))
         in
-        let snapshot2_all = with_targets snapshot targets in
+        (* usable servers per owner code after phase 1 *)
+        let histogram = Array.make (1 + Array.fold_left Int.max 0 target) 0 in
+        Array.iteri
+          (fun id c -> if Snapshot.usable_at snapshot id then histogram.(c) <- histogram.(c) + 1)
+          target;
+        let usable_with o =
+          let c = Broker.owner_code o in
+          if c < Array.length histogram then histogram.(c) else 0
+        in
         (* accumulate reservations while the grouped-variable estimate stays
            under the cap (one variable per rack-level class x reservation) *)
         let selected = ref [] and var_estimate = ref 0 in
         List.iteri
-          (fun i (_, res) ->
+          (fun i (res, _) ->
             if i < quota then begin
-              let owner_code = Broker.owner_code (owner_of_res res) in
-              let free_code = Broker.owner_code Broker.Free in
-              let counted = ref 0 in
-              for id = 0 to Snapshot.num_servers snapshot2_all - 1 do
-                if Snapshot.usable_at snapshot2_all id then begin
-                  let c = Snapshot.current_code snapshot2_all id in
-                  if c = owner_code || c = free_code then incr counted
-                end
-              done;
-              let server_count = !counted in
               (* rack-level classes are at worst one per server *)
+              let server_count = usable_with (Reservation.owner res) + usable_with Broker.Free in
               if !var_estimate + server_count <= params.phase2_var_cap then begin
                 selected := res :: !selected;
                 var_estimate := !var_estimate + server_count
@@ -152,51 +171,27 @@ let solve ?(params = default_params) ?include_server ?state (snapshot : Snapshot
             end)
           scored;
         match !selected with
-        | [] -> None
+        | [] -> (None, plan1)
         | selected ->
-          let owners = List.map owner_of_res selected in
-          let user_filter =
-            match include_server with Some f -> f | None -> fun _ -> true
-          in
+          let owners = List.map Reservation.owner selected in
+          let user_filter = Option.value include_server ~default:(fun _ -> true) in
           let include_server (v : Snapshot.server_view) =
             (v.Snapshot.current = Broker.Free || List.mem v.Snapshot.current owners)
             && user_filter v
           in
+          let snapshot2 = { (Snapshot.with_current snapshot target) with Snapshot.in_use } in
           let result =
             Phases.run ~params:params.formulation
               ~mip_time_limit:params.phase2_time_limit_s ~mip_node_limit:params.node_limit
               ~mip_gap_rel:params.mip_gap_rel ~mip_stall_nodes:params.mip_stall_nodes
-              ~rack_level:true ~include_server snapshot2_all selected
+              ~rack_level:true ~include_server snapshot2 selected
           in
           let assignment2 = Formulation.decode result.Phases.formulation result.Phases.solution in
           let plan2 = Concretize.plan result.Phases.formulation assignment2 in
-          List.iter (fun (id, owner) -> Hashtbl.replace targets id owner) plan2.Concretize.targets;
-          Some result
+          ( Some result,
+            { Concretize.moves = merge_moves plan1.Concretize.moves plan2.Concretize.moves } )
       end
     end
-  in
-  (* ---- merge: moves relative to the original snapshot ---- *)
-  let moves = ref [] and target_list = ref [] in
-  Hashtbl.iter
-    (fun id owner ->
-      target_list := (id, owner) :: !target_list;
-      let current = Snapshot.current snapshot id in
-      if current <> owner then
-        moves :=
-          {
-            Concretize.server = id;
-            from_ = current;
-            to_ = owner;
-            was_in_use = Snapshot.in_use_at snapshot id;
-          }
-          :: !moves)
-    targets;
-  let plan =
-    {
-      Concretize.moves =
-        List.sort (fun a b -> compare a.Concretize.server b.Concretize.server) !moves;
-      targets = List.sort compare !target_list;
-    }
   in
   let shortfalls =
     let base = Formulation.capacity_shortfalls phase1.Phases.formulation phase1.Phases.solution in

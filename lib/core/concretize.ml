@@ -2,100 +2,84 @@ module Broker = Ras_broker.Broker
 
 type move = { server : int; from_ : Broker.owner; to_ : Broker.owner; was_in_use : bool }
 
-type plan = { moves : move list; targets : (int * Broker.owner) list }
+type plan = { moves : move list }
 
-let owner_of_res res =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
+let free_code = Broker.owner_code Broker.Free
+
+(* One class's moves, prepended to [acc]; [quotas] are its [(owner, count)]
+   pairs in [compare] order.  Owner k keeps its first [keep.(k)] members by
+   id; the surplus — free members by id, then the rest by id — fills the
+   missing quotas in order (pool positions below [bound.(k)] go to owner
+   k), and what is left goes to [Free].  Only a free member can land back
+   on its own owner, so the moves are counted from the owner histogram up
+   front and the member walk stops at the last one. *)
+let plan_class sym (cls : Symmetry.cls) quotas acc =
+  let snapshot = sym.Symmetry.snapshot in
+  let owners = Array.of_list (List.map fst quotas) in
+  let codes = Array.map Broker.owner_code owners in
+  let q = Array.length owners in
+  let keep =
+    Array.of_list
+      (List.map (fun (o, want) -> Int.max 0 (Int.min want (Symmetry.current_count sym cls o))) quotas)
+  in
+  let bound = Array.of_list (List.mapi (fun k (_, want) -> Int.max 0 (want - keep.(k))) quotas) in
+  for k = 1 to q - 1 do
+    bound.(k) <- bound.(k) + bound.(k - 1)
+  done;
+  let total_missing = if q = 0 then 0 else bound.(q - 1) in
+  let free = Symmetry.current_count sym cls Broker.Free in
+  let kept = Array.fold_left ( + ) 0 keep in
+  let left = ref (Array.length cls.Symmetry.members - kept - free + Int.min free total_missing) in
+  let seen = Array.make q 0 and free_seen = ref 0 and other_seen = ref 0 in
+  let acc = ref acc and i = ref 0 in
+  while !left > 0 do
+    let id = cls.Symmetry.members.(!i) in
+    incr i;
+    let c = Snapshot.current_code snapshot id in
+    let k = ref 0 in
+    while !k < q && codes.(!k) <> c do
+      incr k
+    done;
+    if !k < q && seen.(!k) < keep.(!k) then seen.(!k) <- seen.(!k) + 1
+    else begin
+      let pos =
+        if c = free_code then (incr free_seen; !free_seen - 1)
+        else (incr other_seen; free + !other_seen - 1)
+      in
+      if c <> free_code || pos < total_missing then begin
+        let k = ref 0 in
+        while !k < q && pos >= bound.(!k) do
+          incr k
+        done;
+        decr left;
+        acc :=
+          {
+            server = id;
+            from_ = Broker.owner_of_code c;
+            to_ = (if !k < q then owners.(!k) else Broker.Free);
+            was_in_use = Snapshot.in_use_at snapshot id;
+          }
+          :: !acc
+      end
+    end
+  done;
+  !acc
 
 let plan (f : Formulation.t) (assignment : Formulation.assignment) =
-  let snapshot = f.Formulation.symmetry.Symmetry.snapshot in
-  let current id = Snapshot.current snapshot id in
-  (* per class: quotas per owner *)
-  let quotas_of_class : (int, (Broker.owner * int) list ref) Hashtbl.t = Hashtbl.create 64 in
+  let sym = f.Formulation.symmetry in
+  let by_class = Array.make (Symmetry.num_classes sym) [] in
   List.iter
-    (fun (cls, res, count) ->
-      let owner = owner_of_res res in
-      let q =
-        match Hashtbl.find_opt quotas_of_class cls.Symmetry.index with
-        | Some q -> q
-        | None ->
-          let q = ref [] in
-          Hashtbl.replace quotas_of_class cls.Symmetry.index q;
-          q
-      in
-      q := (owner, count) :: !q)
+    (fun ((cls : Symmetry.cls), res, count) ->
+      let i = cls.Symmetry.index in
+      by_class.(i) <- (Reservation.owner res, count) :: by_class.(i))
     assignment.Formulation.counts;
-  let moves = ref [] and targets = ref [] in
-  Array.iter
-    (fun (cls : Symmetry.cls) ->
-      let quotas =
-        match Hashtbl.find_opt quotas_of_class cls.Symmetry.index with
-        | Some q -> List.sort compare !q
-        | None -> []
-      in
-      let members = Array.to_list cls.Symmetry.members in
-      (* stability first: fill each owner's quota with servers it already has *)
-      let kept : (int, Broker.owner) Hashtbl.t = Hashtbl.create 16 in
-      let remaining_quota = ref [] in
-      List.iter
-        (fun (owner, want) ->
-          let have = List.filter (fun id -> current id = owner) members in
-          let keep, _ =
-            List.fold_left
-              (fun (acc, k) id -> if k < want then (id :: acc, k + 1) else (acc, k))
-              ([], 0) have
-          in
-          List.iter (fun id -> Hashtbl.replace kept id owner) keep;
-          let missing = want - List.length keep in
-          if missing > 0 then remaining_quota := (owner, missing) :: !remaining_quota)
-        quotas;
-      (* surplus pool: members not kept anywhere; free servers first, then by id *)
-      let surplus = List.filter (fun id -> not (Hashtbl.mem kept id)) members in
-      let free_first =
-        List.stable_sort
-          (fun a b ->
-            let fa = current a = Broker.Free and fb = current b = Broker.Free in
-            if fa = fb then compare a b else if fa then -1 else 1)
-          surplus
-      in
-      let pool = ref free_first in
-      List.iter
-        (fun (owner, missing) ->
-          let taken = ref 0 in
-          let rest = ref [] in
-          List.iter
-            (fun id ->
-              if !taken < missing then begin
-                Hashtbl.replace kept id owner;
-                incr taken
-              end
-              else rest := id :: !rest)
-            !pool;
-          pool := List.rev !rest)
-        (List.sort compare !remaining_quota);
-      (* whatever is left returns to the free pool *)
-      List.iter (fun id -> if not (Hashtbl.mem kept id) then Hashtbl.replace kept id Broker.Free) members;
-      List.iter
-        (fun id ->
-          let target = Hashtbl.find kept id in
-          targets := (id, target) :: !targets;
-          if target <> current id then
-            moves :=
-              {
-                server = id;
-                from_ = current id;
-                to_ = target;
-                was_in_use = Snapshot.in_use_at snapshot id;
-              }
-              :: !moves)
-        members)
-    f.Formulation.symmetry.Symmetry.classes;
-  {
-    moves = List.sort (fun a b -> compare a.server b.server) !moves;
-    targets = List.sort compare !targets;
-  }
+  let moves =
+    Array.fold_left
+      (fun acc (cls : Symmetry.cls) ->
+        plan_class sym cls (List.sort compare by_class.(cls.Symmetry.index)) acc)
+      [] sym.Symmetry.classes
+  in
+  { moves = List.sort (fun a b -> compare a.server b.server) moves }
 
 let moves_in_use plan =
   List.fold_left (fun acc m -> if m.was_in_use then acc + 1 else acc) 0 plan.moves

@@ -1,10 +1,15 @@
-(** Turn the solver's per-class counts back into concrete server bindings.
+(** Turn the solver's per-class counts back into concrete server moves.
 
     Within a class all members are interchangeable, so the mapping is free
     to prefer stability: members already owned by a reservation fill that
     reservation's quota first, and only the surplus moves.  Free servers are
-    consumed before servers are taken away from other owners.  The result is
-    the solver output of Fig. 6 step 3: a target owner per server. *)
+    consumed before servers are taken away from other owners, and whatever
+    no quota claims returns to the free pool.
+
+    The result is the solver output of Fig. 6 step 3 as a delta: the
+    servers whose owner changes.  Each class is decided from its symmetry
+    owner histogram and reads its members only up to its last move, so a
+    plan costs O(classes + moves), not O(servers). *)
 
 type move = {
   server : int;
@@ -14,10 +19,9 @@ type move = {
 }
 
 type plan = {
-  moves : move list;  (** servers whose owner changes, ascending id *)
-  targets : (int * Ras_broker.Broker.owner) list;
-      (** target owner for every server the solve covered (including the
-          ones that stay put), ascending id *)
+  moves : move list;
+      (** servers whose owner changes, ascending id; a server the plan does
+          not name stays with its snapshot owner *)
 }
 
 val plan : Formulation.t -> Formulation.assignment -> plan

@@ -1,6 +1,5 @@
 module Model = Ras_mip.Model
 module Lin = Ras_mip.Lin_expr
-module Broker = Ras_broker.Broker
 module Region = Ras_topology.Region
 
 type params = {
@@ -49,11 +48,6 @@ type t = {
   params : params;
   rack_level : bool;
 }
-
-let owner_of res =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
 
 let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.t) reservations =
   let model = Model.create () in
@@ -257,7 +251,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
           res.Reservation.dc_affinity
       end;
       (* expression (1): stability *)
-      let owner = owner_of res in
+      let owner = Reservation.owner res in
       List.iter
         (fun (_, var, cls) ->
           let n0 = Symmetry.current_count symmetry cls owner in
@@ -303,7 +297,7 @@ let encode t counts_of =
 
 let status_quo t =
   encode t (fun p ->
-      let owner = owner_of p.res in
+      let owner = Reservation.owner p.res in
       Symmetry.current_count t.symmetry p.cls owner)
 
 (* Largest-remainder rounding of an LP-relaxation solution: per class, floor
@@ -709,7 +703,7 @@ let movement_units t solution ~in_use =
   List.fold_left
     (fun acc p ->
       if p.cls.Symmetry.in_use = in_use then begin
-        let owner = owner_of p.res in
+        let owner = Reservation.owner p.res in
         let n0 = Symmetry.current_count t.symmetry p.cls owner in
         if n0 > 0 then acc +. Float.max 0.0 (float_of_int n0 -. solution.(p.var)) else acc
       end

@@ -31,9 +31,8 @@ let reservation_of t id =
 (* Move one server, preempting its containers when in use and clearing any
    loan bookkeeping. *)
 let do_move t id owner =
-  let r = Broker.record t.broker id in
-  if r.Broker.current <> owner then begin
-    if r.Broker.in_use then t.preempt id;
+  if Broker.current_code t.broker id <> Broker.owner_code owner then begin
+    if Broker.in_use_at t.broker id then t.preempt id;
     Hashtbl.remove t.loans id;
     Broker.move t.broker id owner
   end
@@ -148,21 +147,18 @@ let create ?engine ?reactive broker =
   t
 
 let apply_plan t (plan : Concretize.plan) =
-  List.iter (fun (id, owner) -> Broker.set_target t.broker id owner) plan.Concretize.targets;
-  let stats = ref { moved_in_use = 0; moved_unused = 0; skipped_unavailable = 0 } in
+  let moved_in_use = ref 0 and moved_unused = ref 0 and skipped = ref 0 in
   List.iter
     (fun (m : Concretize.move) ->
-      let r = Broker.record t.broker m.Concretize.server in
-      if not (Broker.available r) then
-        stats := { !stats with skipped_unavailable = !stats.skipped_unavailable + 1 }
+      let id = m.Concretize.server in
+      Broker.set_target t.broker id m.Concretize.to_;
+      if not (Broker.available_at t.broker id) then incr skipped
       else begin
-        let in_use = r.Broker.in_use in
-        do_move t m.Concretize.server m.Concretize.to_;
-        if in_use then stats := { !stats with moved_in_use = !stats.moved_in_use + 1 }
-        else stats := { !stats with moved_unused = !stats.moved_unused + 1 }
+        if Broker.in_use_at t.broker id then incr moved_in_use else incr moved_unused;
+        do_move t id m.Concretize.to_
       end)
     plan.Concretize.moves;
-  !stats
+  { moved_in_use = !moved_in_use; moved_unused = !moved_unused; skipped_unavailable = !skipped }
 
 let lend_idle t ~elastic_id ~max_servers =
   if max_servers <= 0 then 0

@@ -49,9 +49,11 @@ val on_preempt : t -> (int -> unit) -> unit
     container allocator uses this to evict and re-queue containers. *)
 
 val apply_plan : t -> Concretize.plan -> apply_stats
-(** Execute the binding intent: set targets, then move every server whose
-    current owner differs.  Unavailable servers keep the recorded target and
-    are picked up by a later solve once they return. *)
+(** Execute the binding intent in O(moves): each move records its [to_] as
+    the server's target, then moves the server if it is available.  An
+    unavailable one keeps its owner (counted in [skipped_unavailable]) and
+    is picked up by a later solve once it returns.  Servers the plan does
+    not name keep their recorded target. *)
 
 val home_of : t -> int -> Ras_broker.Broker.owner option
 (** Lending overlay for {!Snapshot.take}. *)

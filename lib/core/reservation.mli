@@ -44,6 +44,11 @@ val shared_buffer :
 
 val is_buffer : t -> bool
 
+val owner : t -> Ras_broker.Broker.owner
+(** The broker owner that holds the reservation's servers: [Reservation id]
+    for a guaranteed reservation, [Shared_buffer] for a buffer reservation
+    (every category's buffer pools into the one shared owner). *)
+
 val accepts : t -> Ras_topology.Hardware.t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -161,7 +161,8 @@ let solve_now t =
   (match stats.Async_solver.price_table with
   | Some p -> Reactive.set_prices (reactive t) p
   | None -> ());
-  (* revoke elastic loans touched by the plan before applying it *)
+  (* apply the plan; moving a lent server ends its loan in the same step,
+     so no loan is revoked up front *)
   let apply = Online_mover.apply_plan t.mv stats.Async_solver.plan in
   t.moves_in_use_acc <- t.moves_in_use_acc + apply.Online_mover.moved_in_use;
   t.moves_unused_acc <- t.moves_unused_acc + apply.Online_mover.moved_unused;

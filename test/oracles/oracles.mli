@@ -1,6 +1,7 @@
-(** Full-scan reference implementations of the tier-1 policies, kept as
-    differential oracles for {!Ras.Online_mover.find_replacement} and
-    {!Ras.Emergency.grant}.  Built only from the public API; O(servers)
+(** Full-scan reference implementations kept as differential oracles: the
+    tier-1 policies behind {!Ras.Online_mover.find_replacement} and
+    {!Ras.Emergency.grant}, and the per-server concretizer behind
+    {!Ras.Concretize.plan}.  Built only from the public API; O(servers)
     per call by design. *)
 
 val find_replacement_reference :
@@ -20,3 +21,19 @@ val grant_reference :
 (** The full-scan emergency grant: binds servers in ascending id, free
     pool first, then the shared buffer when [allow_buffer]; [visited]
     counts every server of every scanned source. *)
+
+val concretize_reference :
+  Ras.Formulation.t ->
+  Ras.Formulation.assignment ->
+  Ras.Concretize.move list * (int * Ras_broker.Broker.owner) list
+(** [(moves, targets)]: a target owner for every server of every class —
+    each owner's quota filled from the members it already holds, then the
+    missing quotas in [(owner, count)] order from the surplus (free members
+    first, then by id), the rest freed — and a move wherever the target
+    differs from the snapshot owner.  Both lists ascend by server id.
+    {!Ras.Concretize.plan} must return exactly these moves. *)
+
+val plan_target : Ras.Snapshot.t -> Ras.Concretize.plan -> int -> Ras_broker.Broker.owner
+(** [plan_target snapshot plan id]: the owner [plan] leaves server [id]
+    with — its snapshot owner, overridden by the plan's move when it has
+    one: the per-server view the tests read counts and movement from. *)

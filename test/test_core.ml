@@ -248,37 +248,62 @@ let test_concretize_stability_and_cover () =
   let assignment = Formulation.decode f sq in
   let plan = Concretize.plan f assignment in
   Alcotest.(check int) "status quo has no moves" 0 (List.length plan.Concretize.moves);
-  (* targets cover every usable classed server *)
+  (* an empty assignment frees the whole solve: the moves are exactly the
+     classed servers that are not free already, each usable and leaving its
+     snapshot owner for [Free] *)
   let sym = f.Formulation.symmetry in
-  Alcotest.(check int) "targets cover classes" (Symmetry.total_members sym)
-    (List.length plan.Concretize.targets);
+  let owned =
+    Array.fold_left
+      (fun acc (c : Symmetry.cls) ->
+        Array.fold_left
+          (fun acc id -> if Snapshot.current snap id <> Broker.Free then id :: acc else acc)
+          acc c.Symmetry.members)
+      [] sym.Symmetry.classes
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "fixture has owned classed servers" true (owned <> []);
+  let emptied = Concretize.plan f { Formulation.counts = [] } in
+  Alcotest.(check (list int)) "moves cover the owned classed servers" owned
+    (List.map (fun (m : Concretize.move) -> m.Concretize.server) emptied.Concretize.moves);
   List.iter
-    (fun (id, _) ->
-      Alcotest.(check bool) "target ids usable" true (Snapshot.usable_at snap id))
-    plan.Concretize.targets
+    (fun (m : Concretize.move) ->
+      let id = m.Concretize.server in
+      Alcotest.(check bool) "moved server usable" true (Snapshot.usable_at snap id);
+      Alcotest.(check bool) "move starts at the snapshot owner" true
+        (m.Concretize.from_ = Snapshot.current snap id);
+      Alcotest.(check bool) "move frees the server" true (m.Concretize.to_ = Broker.Free))
+    emptied.Concretize.moves
 
 let test_concretize_counts_respected () =
-  let f, _ = formulation_fixture () in
+  let f, snap = formulation_fixture () in
   let std = Model.compile f.Formulation.model in
   match Simplex.solve std with
   | Simplex.Optimal { x; _ } ->
     let sol = Formulation.repair f (Formulation.round_lp f x) in
     let assignment = Formulation.decode f sol in
     let plan = Concretize.plan f assignment in
-    (* per (class, reservation) the number of targeted servers equals the
-       decoded count *)
-    let target_of = Hashtbl.create 256 in
-    List.iter (fun (id, o) -> Hashtbl.replace target_of id o) plan.Concretize.targets;
+    Alcotest.(check bool) "plan equals the reference concretizer's moves" true
+      (plan.Concretize.moves = fst (Oracles.concretize_reference f assignment));
+    (* every move is a usable, classed server *)
+    let classed = Hashtbl.create 256 in
+    Array.iter
+      (fun (c : Symmetry.cls) -> Array.iter (fun id -> Hashtbl.replace classed id ()) c.Symmetry.members)
+      f.Formulation.symmetry.Symmetry.classes;
+    List.iter
+      (fun (m : Concretize.move) ->
+        let id = m.Concretize.server in
+        Alcotest.(check bool) "moved server usable" true (Snapshot.usable_at snap id);
+        Alcotest.(check bool) "moved server classed" true (Hashtbl.mem classed id))
+      plan.Concretize.moves;
+    (* per (class, reservation) the number of servers the plan leaves with
+       the owner equals the decoded count *)
+    let target_of = Oracles.plan_target snap plan in
     List.iter
       (fun ((c : Symmetry.cls), (res : Reservation.t), count) ->
-        let owner =
-          match res.Reservation.kind with
-          | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-          | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
-        in
+        let owner = Reservation.owner res in
         let got =
           Array.fold_left
-            (fun acc id -> if Hashtbl.find_opt target_of id = Some owner then acc + 1 else acc)
+            (fun acc id -> if target_of id = owner then acc + 1 else acc)
             0 c.Symmetry.members
         in
         (* shared-buffer owners pool across category reservations *)
@@ -336,6 +361,58 @@ let test_solver_duration_and_phases () =
     (stats.Async_solver.phase1.Phases.grouped_vars > 0);
   Alcotest.(check bool) "raw >= grouped" true
     (stats.Async_solver.phase1.Phases.raw_vars >= stats.Async_solver.phase1.Phases.grouped_vars)
+
+(* The two-phase merge: with rack-spread limits phase 2 re-places the worst
+   reservations on top of phase 1, and the merged plan must be the snapshot
+   diffed against phase 1's reference targets overlaid by phase 2's. *)
+let test_solver_merge_matches_oracle () =
+  let region = Generator.generate Generator.small_params in
+  let broker = Broker.create region in
+  let rng = Ras_stats.Rng.create 11 in
+  let requests =
+    Ras_workload.Request_gen.scenario rng ~region ~services:Service.default_catalog
+      ~target_utilization:0.4
+    |> List.map (fun (r : Capacity_request.t) ->
+           if r.Capacity_request.rru >= 5.0 then
+             { r with Capacity_request.rack_spread_limit = Some 0.06 }
+           else r)
+  in
+  let reservations =
+    List.map Reservation.of_request requests
+    @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+  in
+  ignore (Ras_twine.Greedy.fulfill broker requests);
+  let snapshot = Snapshot.take broker reservations in
+  let params = { Async_solver.default_params with Async_solver.node_limit = 40 } in
+  let stats = Async_solver.solve ~params snapshot in
+  let phase2 =
+    match stats.Async_solver.phase2 with
+    | Some p2 -> p2
+    | None -> Alcotest.fail "rack-spread limits should send reservations to phase 2"
+  in
+  let target = Hashtbl.create 1024 in
+  List.iter
+    (fun (r : Phases.result) ->
+      let f = r.Phases.formulation in
+      List.iter
+        (fun (id, o) -> Hashtbl.replace target id o)
+        (snd (Oracles.concretize_reference f (Formulation.decode f r.Phases.solution))))
+    [ stats.Async_solver.phase1; phase2 ];
+  let expected =
+    Hashtbl.fold
+      (fun id o acc ->
+        let current = Snapshot.current snapshot id in
+        if o = current then acc
+        else
+          { Concretize.server = id; from_ = current; to_ = o;
+            was_in_use = Snapshot.in_use_at snapshot id }
+          :: acc)
+      target []
+    |> List.sort (fun (a : Concretize.move) b -> compare a.Concretize.server b.Concretize.server)
+  in
+  Alcotest.(check bool) "the plan moves servers" true (expected <> []);
+  Alcotest.(check bool) "merged plan equals the overlaid reference targets" true
+    (stats.Async_solver.plan.Concretize.moves = expected)
 
 (* ---------- storage quorum spread (paragraph 3.3.2) ---------- *)
 
@@ -398,6 +475,33 @@ let test_mover_failure_replacement () =
     Alcotest.(check bool) "buffer server moved in" true
       ((Broker.record broker b).Broker.current = Broker.Reservation 1)
   | _ -> Alcotest.fail "fixture too small")
+
+(* [apply_plan] writes a target for each planned move, applied or not, and
+   touches nothing else. *)
+let test_mover_apply_plan_contract () =
+  let region = Generator.generate Generator.small_params in
+  let broker = Broker.create region in
+  let mover = Online_mover.create broker in
+  let preempted = ref [] in
+  Online_mover.on_preempt mover (fun id -> preempted := id :: !preempted);
+  Broker.set_in_use broker 0 true;
+  Broker.mark_down broker 1 Unavail.Unplanned_hw;
+  Broker.set_target broker 2 (Broker.Reservation 7);
+  let move server =
+    { Concretize.server; from_ = Broker.Free; to_ = Broker.Reservation 1; was_in_use = server = 0 }
+  in
+  let stats = Online_mover.apply_plan mover { Concretize.moves = [ move 0; move 1 ] } in
+  let r0 = Broker.record broker 0 and r1 = Broker.record broker 1 and r2 = Broker.record broker 2 in
+  Alcotest.(check bool) "applied move: current = to_" true (r0.Broker.current = Broker.Reservation 1);
+  Alcotest.(check bool) "applied move: target = to_" true (r0.Broker.target = Broker.Reservation 1);
+  Alcotest.(check int) "applied in-use move counted" 1 stats.Online_mover.moved_in_use;
+  Alcotest.(check (list int)) "in-use server preempted" [ 0 ] !preempted;
+  Alcotest.(check bool) "skipped move: current unchanged" true (r1.Broker.current = Broker.Free);
+  Alcotest.(check bool) "skipped move: target = to_" true (r1.Broker.target = Broker.Reservation 1);
+  Alcotest.(check int) "skipped move counted" 1 stats.Online_mover.skipped_unavailable;
+  Alcotest.(check int) "no idle move" 0 stats.Online_mover.moved_unused;
+  Alcotest.(check bool) "server outside the plan keeps its target" true
+    (r2.Broker.target = Broker.Reservation 7 && r2.Broker.current = Broker.Free)
 
 let test_mover_replacement_fails_without_buffer () =
   let region = Generator.generate Generator.small_params in
@@ -798,9 +902,11 @@ let suite =
     Alcotest.test_case "solver meets capacity" `Slow test_solver_meets_capacity;
     Alcotest.test_case "embedded buffer survives any MSB" `Slow test_embedded_buffer_survives_any_msb;
     Alcotest.test_case "solver duration/phases" `Slow test_solver_duration_and_phases;
+    Alcotest.test_case "solver two-phase merge matches oracle" `Slow test_solver_merge_matches_oracle;
     Alcotest.test_case "quorum cap helper" `Quick test_quorum_cap_helper;
     Alcotest.test_case "quorum spread enforced" `Slow test_quorum_spread_enforced;
     Alcotest.test_case "mover failure replacement" `Quick test_mover_failure_replacement;
+    Alcotest.test_case "mover apply_plan contract" `Quick test_mover_apply_plan_contract;
     Alcotest.test_case "mover replacement fails w/o buffer" `Quick test_mover_replacement_fails_without_buffer;
     Alcotest.test_case "mover ignores planned" `Quick test_mover_planned_no_replacement;
     Alcotest.test_case "mover lend and revoke" `Quick test_mover_lend_and_revoke;

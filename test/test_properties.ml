@@ -31,11 +31,6 @@ let fixture () =
   let symmetry = Symmetry.build snapshot in
   Formulation.build symmetry reservations
 
-let owner_of (res : Reservation.t) =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
-
 let prop_concretize_realizes_random_counts =
   QCheck.Test.make ~name:"concretize realizes random counts with minimal movement" ~count:25
     QCheck.int
@@ -73,9 +68,10 @@ let prop_concretize_realizes_random_counts =
       let solution = Formulation.encode f count_of in
       let assignment = Formulation.decode f solution in
       let plan = Concretize.plan f assignment in
-      let target_of = Hashtbl.create 256 in
-      List.iter (fun (id, o) -> Hashtbl.replace target_of id o) plan.Concretize.targets;
       let snapshot = f.Formulation.symmetry.Symmetry.snapshot in
+      let target_of = Oracles.plan_target snapshot plan in
+      (* 0. the delta plan is the reference concretizer's, move for move *)
+      let reference_ok = plan.Concretize.moves = fst (Oracles.concretize_reference f assignment) in
       (* 1. realized counts match (buffer reservations pool per category, so
          check guaranteed ones exactly) *)
       let realized_ok =
@@ -83,11 +79,10 @@ let prop_concretize_realizes_random_counts =
           (fun (p : Formulation.pair) ->
             Reservation.is_buffer p.Formulation.res
             ||
-            let owner = owner_of p.Formulation.res in
+            let owner = Reservation.owner p.Formulation.res in
             let got =
               Array.fold_left
-                (fun acc id ->
-                  if Hashtbl.find_opt target_of id = Some owner then acc + 1 else acc)
+                (fun acc id -> if target_of id = owner then acc + 1 else acc)
                 0 p.Formulation.cls.Symmetry.members
             in
             got = count_of p)
@@ -100,22 +95,19 @@ let prop_concretize_realizes_random_counts =
           (fun (p : Formulation.pair) ->
             Reservation.is_buffer p.Formulation.res
             ||
-            let owner = owner_of p.Formulation.res in
+            let owner = Reservation.owner p.Formulation.res in
             let n0 = Symmetry.current_count f.Formulation.symmetry p.Formulation.cls owner in
             let stayed =
               Array.fold_left
                 (fun acc id ->
-                  if
-                    Snapshot.current snapshot id = owner
-                    && Hashtbl.find_opt target_of id = Some owner
-                  then acc + 1
+                  if Snapshot.current snapshot id = owner && target_of id = owner then acc + 1
                   else acc)
                 0 p.Formulation.cls.Symmetry.members
             in
             stayed = min n0 (count_of p))
           f.Formulation.pairs
       in
-      realized_ok && movement_ok)
+      reference_ok && realized_ok && movement_ok)
 
 (* ---------- symmetry aggregation invariants ---------- *)
 
@@ -228,18 +220,30 @@ let prop_aggregation_invariants =
       in
       (* 5. aggregation o disaggregation is the identity on the current
          assignment: encoding the status quo and concretizing it moves
-         nothing *)
+         nothing, so every server keeps its snapshot owner *)
       let f = Formulation.build sym reservations in
       let assignment = Formulation.decode f (Formulation.status_quo f) in
       let plan = Concretize.plan f assignment in
-      let identity_ok =
-        plan.Concretize.moves = []
-        && List.for_all
-             (fun (id, o) -> Snapshot.current snapshot id = o)
-             plan.Concretize.targets
+      let identity_ok = plan.Concretize.moves = [] in
+      (* 6. an arbitrary per-pair assignment, oversubscribed classes
+         included, concretizes to the reference concretizer's moves *)
+      let arbitrary =
+        let rng = Ras_stats.Rng.create (seed lxor 0x5eed) in
+        {
+          Formulation.counts =
+            List.map
+              (fun (p : Formulation.pair) ->
+                let cls = p.Formulation.cls in
+                (cls, p.Formulation.res, Ras_stats.Rng.int rng (Symmetry.size cls + 1)))
+              f.Formulation.pairs;
+        }
+      in
+      let reference_ok =
+        (Concretize.plan f arbitrary).Concretize.moves
+        = fst (Oracles.concretize_reference f arbitrary)
       in
       matches_reference && counts_sum && representative_ok && capacity_ok && histogram_ok
-      && identity_ok)
+      && identity_ok && reference_ok)
 
 (* ---------- simplex under bad scaling ---------- *)
 

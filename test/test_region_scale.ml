@@ -11,12 +11,14 @@
      and produce the same compiled model, which must solve to the same
      verdict/objective under every pricing rule and both kernel backends;
    - disaggregation: a class-level solution concretized to per-server
-     targets and re-aggregated must encode back to a feasible vector with
-     the same objective;
+     moves must equal the reference concretizer's, and the resulting
+     owners re-aggregated must encode back to a feasible vector with the
+     same objective;
    - ceilings: compiled size must be independent of raw server count
-     (Fig. 10/11 regime), formulation+compile allocation must be bounded by
-     model size (not server count), and the columnar snapshot/symmetry live
-     footprint must stay a few words per server.
+     (Fig. 10/11 regime), formulation+compile and concretize allocation
+     must be bounded by model size and moves (not server count), and the
+     columnar snapshot/symmetry live footprint must stay a few words per
+     server.
 
    [dune runtest] keeps the sweep at spr <= 5; RAS_SCALE_TESTS=full adds
    the 10^6 run (the dedicated CI job sets it). *)
@@ -170,11 +172,6 @@ let test_solves_agree_across_rules () =
 
 (* ---------- disaggregation round trip ---------- *)
 
-let owner_of (res : Reservation.t) =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
-
 let objective_of (std : Model.std) x =
   let acc = ref std.Model.obj_offset in
   Array.iteri (fun v c -> acc := !acc +. (c *. x.(v))) std.Model.obj;
@@ -188,11 +185,13 @@ let test_disaggregation_round_trip () =
   let solution = result.Phases.solution in
   Alcotest.(check bool) "solver solution is feasible" true
     (Model.check_solution std solution = Ok ());
-  (* class counts -> per-server assignment *)
+  (* class counts -> per-server moves, identical to the reference
+     concretizer's *)
   let assignment = Formulation.decode f solution in
   let plan = Concretize.plan f assignment in
-  let target_of = Hashtbl.create 4096 in
-  List.iter (fun (id, o) -> Hashtbl.replace target_of id o) plan.Concretize.targets;
+  Alcotest.(check bool) "plan equals the reference concretizer's moves" true
+    (plan.Concretize.moves = fst (Oracles.concretize_reference f assignment));
+  let target_of = Oracles.plan_target snapshot plan in
   (* re-aggregate the per-server assignment back into per-pair counts.
      Guaranteed reservations own their targets directly; buffer reservations
      pool [Shared_buffer] servers per hardware category, and every class has
@@ -201,13 +200,13 @@ let test_disaggregation_round_trip () =
     let res = p.Formulation.res in
     Array.fold_left
       (fun acc id ->
-        match Hashtbl.find_opt target_of id with
-        | Some Broker.Shared_buffer when Reservation.is_buffer res ->
+        match target_of id with
+        | Broker.Shared_buffer when Reservation.is_buffer res ->
           if res.Reservation.rru_of (Snapshot.server snapshot id).Region.hw > 0.0 then
             acc + 1
           else acc
-        | Some o when o = owner_of res && not (Reservation.is_buffer res) -> acc + 1
-        | Some _ | None -> acc)
+        | o when o = Reservation.owner res && not (Reservation.is_buffer res) -> acc + 1
+        | _ -> acc)
       0 p.Formulation.cls.Symmetry.members
   in
   let rebuilt = Formulation.encode f count_of in
@@ -260,28 +259,43 @@ let test_scale_invariance () =
 
 (* ---------- memory ceilings ---------- *)
 
-(* Allocation during Formulation.build + Model.compile must track model
-   size, not raw server count: 5x the servers with the same class structure
-   may not cost more than ~1.5x the build allocation. *)
+(* Allocation during Formulation.build + Model.compile, and during the
+   disaggregation of a solution back to servers, must track model size and
+   moves, not raw server count: 5x the servers with the same class
+   structure may not cost more than ~1.5x the allocation.  Concretizing the
+   status quo moves nothing, so it is billed for its classes alone. *)
 let test_build_allocation_scale_independent () =
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    let after = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity r);
+    after -. before
+  in
   let measure ~servers_per_rack =
     let snapshot, reservations = scale_snapshot ~churn:false ~servers_per_rack () in
     let symmetry = Symmetry.build snapshot in
     (* warm up so one-time lazy setup is not billed to either measurement *)
     ignore (Formulation.build symmetry reservations);
-    let before = Gc.allocated_bytes () in
+    let build =
+      allocated (fun () -> Model.compile (Formulation.build symmetry reservations).Formulation.model)
+    in
     let f = Formulation.build symmetry reservations in
-    let std = Model.compile f.Formulation.model in
-    let after = Gc.allocated_bytes () in
-    ignore (Sys.opaque_identity std);
-    after -. before
+    let status_quo = Formulation.decode f (Formulation.status_quo f) in
+    let concretize = allocated (fun () -> Concretize.plan f status_quo) in
+    (build, concretize)
   in
-  let small = measure ~servers_per_rack:1 in
-  let large = measure ~servers_per_rack:5 in
+  let small_build, small_plan = measure ~servers_per_rack:1 in
+  let large_build, large_plan = measure ~servers_per_rack:5 in
   Alcotest.(check bool)
-    (Printf.sprintf "5x servers => %.2fx build allocation (limit 1.5x)" (large /. small))
+    (Printf.sprintf "5x servers => %.2fx build allocation (limit 1.5x)" (large_build /. small_build))
     true
-    (large <= 1.5 *. small)
+    (large_build <= 1.5 *. small_build);
+  Alcotest.(check bool)
+    (Printf.sprintf "5x servers => %.2fx concretize allocation (limit 1.5x)"
+       (large_plan /. small_plan))
+    true
+    (large_plan <= 1.5 *. small_plan)
 
 (* The columnar stores must cost O(1) words per server: snapshot columns
    (owner codes + attr ints, two byte columns) and symmetry member arrays
