@@ -313,11 +313,7 @@ let decompose_kernel ~label ~node_limit ~time_limit preset =
          formulation-aware repair before use, so quality is measured there *)
       let repaired_obj =
         match out.Branch_bound.solution with
-        | Some x ->
-          let repaired = Ras.Formulation.repair formulation x in
-          let acc = ref std.Model.obj_offset in
-          Array.iteri (fun v c -> acc := !acc +. (c *. repaired.(v))) std.Model.obj;
-          !acc
+        | Some x -> Model.objective_value std (Ras.Formulation.repair formulation x)
         | None -> infinity
       in
       let speedup = mono_dt /. dt in

@@ -68,12 +68,10 @@ let hardware_aware_bound (snapshot : Snapshot.t) reservations =
         0.0 f.Formulation.buffer_var
     in
     let total_sum =
-      List.fold_left
+      Array.fold_left
         (fun acc (p : Formulation.pair) ->
           if p.Formulation.res.Reservation.embedded_buffer then
-            acc
-            +. (p.Formulation.res.Reservation.rru_of (Symmetry.hw_of p.Formulation.cls)
-                *. x.(p.Formulation.var))
+            acc +. (p.Formulation.rru *. x.(p.Formulation.var))
           else acc)
         0.0 f.Formulation.pairs
     in

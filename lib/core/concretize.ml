@@ -67,16 +67,19 @@ let plan_class sym (cls : Symmetry.cls) quotas acc =
 
 let plan (f : Formulation.t) (assignment : Formulation.assignment) =
   let sym = f.Formulation.symmetry in
-  let by_class = Array.make (Symmetry.num_classes sym) [] in
-  List.iter
-    (fun ((cls : Symmetry.cls), res, count) ->
-      let i = cls.Symmetry.index in
-      by_class.(i) <- (Reservation.owner res, count) :: by_class.(i))
-    assignment.Formulation.counts;
   let moves =
     Array.fold_left
       (fun acc (cls : Symmetry.cls) ->
-        plan_class sym cls (List.sort compare by_class.(cls.Symmetry.index)) acc)
+        let quotas =
+          Array.fold_left
+            (fun q i ->
+              let count = assignment.(i) in
+              if count > 0 then
+                (Reservation.owner f.Formulation.pairs.(i).Formulation.res, count) :: q
+              else q)
+            [] f.Formulation.class_pairs.(cls.Symmetry.index)
+        in
+        plan_class sym cls (List.sort compare quotas) acc)
       [] sym.Symmetry.classes
   in
   { moves = List.sort (fun a b -> compare a.server b.server) moves }

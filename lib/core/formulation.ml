@@ -30,13 +30,21 @@ let default_params =
     wear_penalty = 2.0;
   }
 
-type pair = { cls : Symmetry.cls; res : Reservation.t; var : Model.var }
+type pair = {
+  cls : Symmetry.cls;
+  res : Reservation.t;
+  res_index : int;
+  var : Model.var;
+  rru : float;
+}
 
 type t = {
   model : Model.t;
   symmetry : Symmetry.t;
   reservations : Reservation.t list;
-  pairs : pair list;
+  pairs : pair array;
+  class_pairs : int array array;
+  res_pairs : int array array;
   capacity_slack : (int * Model.var) list;
   buffer_var : (int * Model.var) list;
   aux_defs : (Model.var * Lin.t list) list;
@@ -51,21 +59,18 @@ type t = {
 
 let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.t) reservations =
   let model = Model.create () in
-  let pairs = ref [] in
-  let per_class_vars = Array.make (Symmetry.num_classes symmetry) [] in
-  (* per reservation id: terms (V, var, cls) *)
-  let res_terms : (int, (float * Model.var * Symmetry.cls) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter
-    (fun res -> Hashtbl.replace res_terms res.Reservation.id (ref []))
-    reservations;
+  (* the pair index: pairs in creation order, and each class's and each
+     reservation's pair indices, prepended so they run in descending index
+     order — the order every walk below (and every heuristic) visits them *)
+  let pairs = ref [] and npairs = ref 0 in
+  let class_pairs = Array.make (Symmetry.num_classes symmetry) [] in
+  let res_pairs = Array.make (List.length reservations) [] in
   (* assignment variables *)
   Array.iter
     (fun (cls : Symmetry.cls) ->
       let hw = Symmetry.hw_of cls in
-      List.iter
-        (fun res ->
+      List.iteri
+        (fun ri res ->
           let v = res.Reservation.rru_of hw in
           if v > 0.0 then begin
             (* names are keyed by the stable class key, never the dense
@@ -79,23 +84,27 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
                 ~ub:(float_of_int (Symmetry.size cls))
                 ~kind:Model.Integer model
             in
-            pairs := { cls; res; var } :: !pairs;
-            per_class_vars.(cls.Symmetry.index) <- var :: per_class_vars.(cls.Symmetry.index);
+            let i = !npairs in
+            incr npairs;
+            pairs := { cls; res; res_index = ri; var; rru = v } :: !pairs;
+            class_pairs.(cls.Symmetry.index) <- i :: class_pairs.(cls.Symmetry.index);
+            res_pairs.(ri) <- i :: res_pairs.(ri);
             let wear_cost =
               params.wear_penalty *. res.Reservation.io_intensity
               *. float_of_int cls.Symmetry.attr
             in
-            Model.add_to_objective model (Lin.term (params.assignment_cost +. wear_cost) var);
-            let terms = Hashtbl.find res_terms res.Reservation.id in
-            terms := (v, var, cls) :: !terms
+            Model.add_to_objective model (Lin.term (params.assignment_cost +. wear_cost) var)
           end)
         reservations)
-      symmetry.Symmetry.classes;
+    symmetry.Symmetry.classes;
+  let pairs = Array.of_list (List.rev !pairs) in
+  let class_pairs = Array.map Array.of_list class_pairs in
+  let res_pairs = Array.map Array.of_list res_pairs in
   (* expression (5): class supply *)
   Array.iteri
-    (fun idx vars ->
-      if vars <> [] then begin
-        let e = Lin.of_terms (List.map (fun v -> (1.0, v)) vars) in
+    (fun idx ps ->
+      if ps <> [||] then begin
+        let e = Lin.of_terms (Array.to_list (Array.map (fun i -> (1.0, pairs.(i).var)) ps)) in
         let cls = symmetry.Symmetry.classes.(idx) in
         ignore
           (Model.add_constraint
@@ -103,7 +112,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
              model e Model.Le
              (float_of_int (Symmetry.size cls)))
       end)
-    per_class_vars;
+    class_pairs;
   let capacity_slack = ref [] and buffer_var = ref [] in
   let aux_defs = ref [] in
   let pos_part ~name ~weight e =
@@ -122,23 +131,26 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
     aux_defs := (v, defs) :: !aux_defs;
     v
   in
-  let group_terms terms ~scope_of =
+  let group_terms ps ~scope_of =
     let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (v, var, cls) ->
-        let g = scope_of cls in
+    Array.iter
+      (fun i ->
+        let p = pairs.(i) in
+        let g = scope_of p.cls in
         let existing = try Hashtbl.find tbl g with Not_found -> [] in
-        Hashtbl.replace tbl g ((v, var) :: existing))
-      terms;
+        Hashtbl.replace tbl g ((p.rru, p.var) :: existing))
+      ps;
     Hashtbl.fold (fun g ts acc -> (g, Lin.of_terms ts) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  List.iter
-    (fun res ->
+  List.iteri
+    (fun ri res ->
       let rid = res.Reservation.id in
-      let terms = !(Hashtbl.find res_terms rid) in
-      let total = Lin.of_terms (List.map (fun (v, var, _) -> (v, var)) terms) in
-      let by_msb = group_terms terms ~scope_of:(fun c -> c.Symmetry.msb) in
+      let ps = res_pairs.(ri) in
+      let total =
+        Lin.of_terms (Array.to_list (Array.map (fun i -> (pairs.(i).rru, pairs.(i).var)) ps))
+      in
+      let by_msb = group_terms ps ~scope_of:(fun c -> c.Symmetry.msb) in
       let cr = res.Reservation.capacity_rru in
       (* expressions (4) + (6): embedded correlated-failure buffer *)
       let z_term =
@@ -203,7 +215,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
       (match (rack_level, res.Reservation.rack_spread_limit) with
       | true, Some alpha_k ->
         let by_rack =
-          group_terms terms ~scope_of:(fun c ->
+          group_terms ps ~scope_of:(fun c ->
               match c.Symmetry.rack with Some r -> r | None -> -1)
         in
         List.iter
@@ -219,7 +231,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
       (* expression (7): datacenter affinity, softened two-sided *)
       if res.Reservation.dc_affinity <> [] then begin
         let by_dc =
-          group_terms terms ~scope_of:(fun c ->
+          group_terms ps ~scope_of:(fun c ->
               symmetry.Symmetry.region.Region.msb_dc.(c.Symmetry.msb))
         in
         let theta = res.Reservation.affinity_tolerance in
@@ -252,8 +264,9 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
       end;
       (* expression (1): stability *)
       let owner = Reservation.owner res in
-      List.iter
-        (fun (_, var, cls) ->
+      Array.iter
+        (fun i ->
+          let { cls; var; _ } = pairs.(i) in
           let n0 = Symmetry.current_count symmetry cls owner in
           if n0 > 0 then begin
             let cost =
@@ -265,13 +278,15 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
                  ~weight:cost
                  (Lin.sub (Lin.constant (float_of_int n0)) (Lin.var var)))
           end)
-        terms)
+        ps)
     reservations;
   {
     model;
     symmetry;
     reservations;
-    pairs = List.rev !pairs;
+    pairs;
+    class_pairs;
+    res_pairs;
     capacity_slack = !capacity_slack;
     buffer_var = !buffer_var;
     aux_defs = List.rev !aux_defs;
@@ -283,9 +298,9 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
    variables all take their cheapest feasible value [max(0, max_i e_i)];
    definitions only reference earlier variables so one ascending pass
    suffices. *)
-let encode t counts_of =
+let encode t counts =
   let vec = Array.make (Model.num_vars t.model) 0.0 in
-  List.iter (fun p -> vec.(p.var) <- float_of_int (counts_of p)) t.pairs;
+  Array.iteri (fun i p -> vec.(p.var) <- float_of_int counts.(i)) t.pairs;
   List.iter
     (fun (v, exprs) ->
       let value =
@@ -296,60 +311,40 @@ let encode t counts_of =
   vec
 
 let status_quo t =
-  encode t (fun p ->
-      let owner = Reservation.owner p.res in
-      Symmetry.current_count t.symmetry p.cls owner)
+  encode t
+    (Array.map (fun p -> Symmetry.current_count t.symmetry p.cls (Reservation.owner p.res)) t.pairs)
 
 (* Largest-remainder rounding of an LP-relaxation solution: per class, floor
    every count, then hand the class's remaining LP mass back to the pairs
    with the largest fractional parts.  Supply can only decrease, so the
    result is always feasible once auxiliaries are re-encoded. *)
 let round_lp t lp_solution =
-  let by_class = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      let existing = try Hashtbl.find by_class p.cls.Symmetry.index with Not_found -> [] in
-      Hashtbl.replace by_class p.cls.Symmetry.index (p :: existing))
-    t.pairs;
-  let counts = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun _ ps ->
+  let counts = Array.make (Array.length t.pairs) 0 in
+  Array.iter
+    (fun ps ->
+      let lp i = Float.max 0.0 lp_solution.(t.pairs.(i).var) in
       let floors =
-        List.map
-          (fun p ->
-            let x = Float.max 0.0 lp_solution.(p.var) in
+        Array.map
+          (fun i ->
+            let x = lp i in
             let fl = Float.floor (x +. 1e-9) in
-            (p, int_of_float fl, x -. fl))
+            (i, int_of_float fl, x -. fl))
           ps
       in
-      let total_lp = List.fold_left (fun acc p -> acc +. Float.max 0.0 lp_solution.(p.var)) 0.0 ps in
-      let floor_sum = List.fold_left (fun acc (_, fl, _) -> acc + fl) 0 floors in
+      let total_lp = Array.fold_left (fun acc i -> acc +. lp i) 0.0 ps in
+      let floor_sum = Array.fold_left (fun acc (_, fl, _) -> acc + fl) 0 floors in
       let extra = int_of_float (Float.round total_lp) - floor_sum in
-      let by_remainder =
-        List.sort (fun (_, _, ra) (_, _, rb) -> compare rb ra) floors
-      in
-      List.iteri
-        (fun i (p, fl, _) ->
-          let c = if i < extra then fl + 1 else fl in
-          Hashtbl.replace counts (p.cls.Symmetry.index, p.res.Reservation.id) c)
-        by_remainder)
-    by_class;
-  encode t (fun p ->
-      try Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) with Not_found -> 0)
+      Array.stable_sort (fun (_, _, ra) (_, _, rb) -> compare rb ra) floors;
+      Array.iteri (fun k (i, fl, _) -> counts.(i) <- (if k < extra then fl + 1 else fl)) floors)
+    t.class_pairs;
+  encode t counts
 
-let num_assignment_vars t = List.length t.pairs
+let num_assignment_vars t = Array.length t.pairs
 
-type assignment = { counts : (Symmetry.cls * Reservation.t * int) list }
+type assignment = int array
 
 let decode t solution =
-  let counts =
-    List.filter_map
-      (fun p ->
-        let v = int_of_float (Float.round solution.(p.var)) in
-        if v > 0 then Some (p.cls, p.res, v) else None)
-      t.pairs
-  in
-  { counts }
+  Array.map (fun p -> int_of_float (Float.round solution.(p.var))) t.pairs
 
 let capacity_shortfalls t solution =
   List.filter_map
@@ -358,35 +353,28 @@ let capacity_shortfalls t solution =
       if v > 1e-6 then Some (rid, v) else None)
     t.capacity_slack
 
+(* One server of pair [i] in ([delta] = 1) or out ([delta] = -1). *)
+let shift t ~counts ~class_used i delta =
+  counts.(i) <- counts.(i) + delta;
+  let c = t.pairs.(i).cls.Symmetry.index in
+  class_used.(c) <- class_used.(c) + delta
+
 (* Spread local search: repeatedly move one server of the reservation out of
    its fullest MSB into an acceptable class with free supply in a less-loaded
    MSB, whenever that lowers the reservation's max-MSB capacity (expressions
-   3/4/6 all improve).  Works on a counts table in place. *)
+   3/4/6 all improve).  Works on the counts in place. *)
 let improve_spread t ~counts ~class_used =
-  let region = t.symmetry.Symmetry.region in
-  let num_msbs = region.Region.num_msbs in
-  let pairs_of_res = Hashtbl.create 32 in
-  List.iter
-    (fun p ->
-      let existing = try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> [] in
-      Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
-    t.pairs;
-  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
-  let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
-  let set p delta =
-    let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
-    r := !r + delta;
-    class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + delta
-  in
-  List.iter
-    (fun res ->
+  let num_msbs = t.symmetry.Symmetry.region.Region.num_msbs in
+  List.iteri
+    (fun ri res ->
       if res.Reservation.embedded_buffer then begin
-        let my_pairs = try Hashtbl.find pairs_of_res res.Reservation.id with Not_found -> [] in
+        let my_pairs = t.res_pairs.(ri) in
         let msb_rru = Array.make num_msbs 0.0 in
-        List.iter
-          (fun p ->
+        Array.iter
+          (fun i ->
+            let p = t.pairs.(i) in
             msb_rru.(p.cls.Symmetry.msb) <-
-              msb_rru.(p.cls.Symmetry.msb) +. (value p *. float_of_int (count_of p)))
+              msb_rru.(p.cls.Symmetry.msb) +. (p.rru *. float_of_int counts.(i)))
           my_pairs;
         let improved = ref true and guard = ref 0 in
         while !improved && !guard < 500 do
@@ -400,22 +388,24 @@ let improve_spread t ~counts ~class_used =
           if msb_rru.(!max_msb) > 0.0 then begin
             (* best single-server move out of it *)
             let best = ref None in
-            List.iter
-              (fun p_from ->
-                if p_from.cls.Symmetry.msb = !max_msb && count_of p_from > 0 then
-                  List.iter
-                    (fun p_to ->
+            Array.iter
+              (fun i_from ->
+                let p_from = t.pairs.(i_from) in
+                if p_from.cls.Symmetry.msb = !max_msb && counts.(i_from) > 0 then
+                  Array.iter
+                    (fun i_to ->
+                      let p_to = t.pairs.(i_to) in
                       if
                         p_to.cls.Symmetry.msb <> !max_msb
                         && class_used.(p_to.cls.Symmetry.index) < Symmetry.size p_to.cls
                       then begin
-                        let new_src = msb_rru.(!max_msb) -. value p_from in
-                        let new_dst = msb_rru.(p_to.cls.Symmetry.msb) +. value p_to in
+                        let new_src = msb_rru.(!max_msb) -. p_from.rru in
+                        let new_dst = msb_rru.(p_to.cls.Symmetry.msb) +. p_to.rru in
                         (* the move must lower this reservation's max share
                            and must not shrink its total capacity *)
                         if
                           Float.max new_src new_dst < msb_rru.(!max_msb) -. 1e-9
-                          && value p_to >= value p_from -. 1e-9
+                          && p_to.rru >= p_from.rru -. 1e-9
                         then begin
                           let headroom = msb_rru.(!max_msb) -. Float.max new_src new_dst in
                           (* idle servers move for a tenth of the cost of
@@ -423,18 +413,18 @@ let improve_spread t ~counts ~class_used =
                           let key = ((if p_from.cls.Symmetry.in_use then 0 else 1), headroom) in
                           match !best with
                           | Some (k, _, _) when k >= key -> ()
-                          | _ -> best := Some (key, p_from, p_to)
+                          | _ -> best := Some (key, i_from, i_to)
                         end
                       end)
                     my_pairs)
               my_pairs;
             match !best with
-            | Some (_, p_from, p_to) ->
-              set p_from (-1);
-              set p_to 1;
-              msb_rru.(p_from.cls.Symmetry.msb) <-
-                msb_rru.(p_from.cls.Symmetry.msb) -. value p_from;
-              msb_rru.(p_to.cls.Symmetry.msb) <- msb_rru.(p_to.cls.Symmetry.msb) +. value p_to;
+            | Some (_, i_from, i_to) ->
+              let p_from = t.pairs.(i_from) and p_to = t.pairs.(i_to) in
+              shift t ~counts ~class_used i_from (-1);
+              shift t ~counts ~class_used i_to 1;
+              msb_rru.(p_from.cls.Symmetry.msb) <- msb_rru.(p_from.cls.Symmetry.msb) -. p_from.rru;
+              msb_rru.(p_to.cls.Symmetry.msb) <- msb_rru.(p_to.cls.Symmetry.msb) +. p_to.rru;
               improved := true
             | None -> ()
           end
@@ -448,39 +438,36 @@ let improve_spread t ~counts ~class_used =
    [(A - theta) C_r, (A + theta) C_r] or no swap helps. *)
 let improve_affinity t ~counts ~class_used =
   let region = t.symmetry.Symmetry.region in
-  let dc_of cls = region.Region.msb_dc.(cls.Symmetry.msb) in
-  let pairs_of_res = Hashtbl.create 32 in
-  List.iter
-    (fun p ->
-      let existing = try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> [] in
-      Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
-    t.pairs;
-  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
-  let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
-  let set p delta =
-    let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
-    r := !r + delta;
-    class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + delta
-  in
-  List.iter
-    (fun res ->
+  let num_dcs = region.Region.num_dcs in
+  let dc_of (p : pair) = region.Region.msb_dc.(p.cls.Symmetry.msb) in
+  List.iteri
+    (fun ri res ->
       if res.Reservation.dc_affinity <> [] then begin
-        let my_pairs = try Hashtbl.find pairs_of_res res.Reservation.id with Not_found -> [] in
+        let my_pairs = t.res_pairs.(ri) in
         let cr = res.Reservation.capacity_rru in
         let theta = res.Reservation.affinity_tolerance in
-        let dc_rru = Array.make region.Region.num_dcs 0.0 in
-        List.iter
-          (fun p -> dc_rru.(dc_of p.cls) <- dc_rru.(dc_of p.cls) +. (value p *. float_of_int (count_of p)))
+        let dc_rru = Array.make num_dcs 0.0 in
+        Array.iter
+          (fun i ->
+            let p = t.pairs.(i) in
+            dc_rru.(dc_of p) <- dc_rru.(dc_of p) +. (p.rru *. float_of_int counts.(i)))
           my_pairs;
         let declared = res.Reservation.dc_affinity in
-        let lo d = match List.assoc_opt d declared with Some a -> (a -. theta) *. cr | None -> 0.0 in
-        let hi d =
-          match List.assoc_opt d declared with Some a -> (a +. theta) *. cr | None -> infinity
+        let lo =
+          Array.init num_dcs (fun d ->
+              match List.assoc_opt d declared with Some a -> (a -. theta) *. cr | None -> 0.0)
+        in
+        let hi =
+          Array.init num_dcs (fun d ->
+              match List.assoc_opt d declared with Some a -> (a +. theta) *. cr | None -> infinity)
         in
         let violation () =
-          Array.to_list dc_rru
-          |> List.mapi (fun d v -> Float.max 0.0 (lo d -. v) +. Float.max 0.0 (v -. hi d))
-          |> List.fold_left ( +. ) 0.0
+          let acc = ref 0.0 in
+          for d = 0 to num_dcs - 1 do
+            let v = dc_rru.(d) in
+            acc := !acc +. (Float.max 0.0 (lo.(d) -. v) +. Float.max 0.0 (v -. hi.(d)))
+          done;
+          !acc
         in
         let guard = ref 0 and progress = ref true in
         while violation () > 1e-6 && !progress && !guard < 500 do
@@ -489,38 +476,41 @@ let improve_affinity t ~counts ~class_used =
           (* best swap: drop one server in dc_from, add one in dc_to *)
           let best = ref None in
           let before = violation () in
-          List.iter
-            (fun p_from ->
-              if count_of p_from > 0 then
-                List.iter
-                  (fun p_to ->
+          Array.iter
+            (fun i_from ->
+              let p_from = t.pairs.(i_from) in
+              if counts.(i_from) > 0 then
+                Array.iter
+                  (fun i_to ->
+                    let p_to = t.pairs.(i_to) in
                     if
-                      dc_of p_to.cls <> dc_of p_from.cls
+                      dc_of p_to <> dc_of p_from
                       && class_used.(p_to.cls.Symmetry.index) < Symmetry.size p_to.cls
                     then begin
-                      let df = dc_of p_from.cls and dt = dc_of p_to.cls in
-                      dc_rru.(df) <- dc_rru.(df) -. value p_from;
-                      dc_rru.(dt) <- dc_rru.(dt) +. value p_to;
+                      let df = dc_of p_from and dt = dc_of p_to in
+                      dc_rru.(df) <- dc_rru.(df) -. p_from.rru;
+                      dc_rru.(dt) <- dc_rru.(dt) +. p_to.rru;
                       let after = violation () in
-                      dc_rru.(df) <- dc_rru.(df) +. value p_from;
-                      dc_rru.(dt) <- dc_rru.(dt) -. value p_to;
+                      dc_rru.(df) <- dc_rru.(df) +. p_from.rru;
+                      dc_rru.(dt) <- dc_rru.(dt) -. p_to.rru;
                       (* keep total capacity: only allow swaps that do not
                          shrink the reservation *)
-                      if after < before -. 1e-9 && value p_to >= value p_from -. 1e-9 then begin
+                      if after < before -. 1e-9 && p_to.rru >= p_from.rru -. 1e-9 then begin
                         let key = ((if p_from.cls.Symmetry.in_use then 1 else 0), after) in
                         match !best with
                         | Some (k, _, _) when k <= key -> ()
-                        | _ -> best := Some (key, p_from, p_to)
+                        | _ -> best := Some (key, i_from, i_to)
                       end
                     end)
                   my_pairs)
             my_pairs;
           match !best with
-          | Some (_, p_from, p_to) ->
-            set p_from (-1);
-            set p_to 1;
-            dc_rru.(dc_of p_from.cls) <- dc_rru.(dc_of p_from.cls) -. value p_from;
-            dc_rru.(dc_of p_to.cls) <- dc_rru.(dc_of p_to.cls) +. value p_to;
+          | Some (_, i_from, i_to) ->
+            let p_from = t.pairs.(i_from) and p_to = t.pairs.(i_to) in
+            shift t ~counts ~class_used i_from (-1);
+            shift t ~counts ~class_used i_to 1;
+            dc_rru.(dc_of p_from) <- dc_rru.(dc_of p_from) -. p_from.rru;
+            dc_rru.(dc_of p_to) <- dc_rru.(dc_of p_to) +. p_to.rru;
             progress := true
           | None -> ()
         done
@@ -535,46 +525,20 @@ let improve_affinity t ~counts ~class_used =
 let repair t solution =
   let nclasses = Array.length t.symmetry.Symmetry.classes in
   let num_msbs = t.symmetry.Symmetry.region.Region.num_msbs in
-  let counts = Hashtbl.create 256 in
+  let counts = decode t solution in
   let class_used = Array.make nclasses 0 in
-  let res_total = Hashtbl.create 32 in
-  List.iter
-    (fun res -> Hashtbl.replace res_total res.Reservation.id (ref 0.0))
-    t.reservations;
-  List.iter
-    (fun p ->
-      let c = int_of_float (Float.round solution.(p.var)) in
-      Hashtbl.replace counts (p.cls.Symmetry.index, p.res.Reservation.id) (ref c);
+  let res_total = Array.make (Array.length t.res_pairs) 0.0 in
+  Array.iteri
+    (fun i p ->
+      let c = counts.(i) in
       class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + c;
-      let v = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
-      let total = Hashtbl.find res_total p.res.Reservation.id in
-      total := !total +. (v *. float_of_int c))
+      res_total.(p.res_index) <- res_total.(p.res_index) +. (p.rru *. float_of_int c))
     t.pairs;
-  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
-  let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
-  let bump p delta =
-    let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
-    r := !r + delta;
-    class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + delta;
-    let total = Hashtbl.find res_total p.res.Reservation.id in
-    total := !total +. (value p *. float_of_int delta)
+  let bump i delta =
+    shift t ~counts ~class_used i delta;
+    let p = t.pairs.(i) in
+    res_total.(p.res_index) <- res_total.(p.res_index) +. (p.rru *. float_of_int delta)
   in
-  let pairs_of_res = Hashtbl.create 32 in
-  List.iter
-    (fun p ->
-      let existing =
-        try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> []
-      in
-      Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
-    t.pairs;
-  let pairs_of_class = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      let existing =
-        try Hashtbl.find pairs_of_class p.cls.Symmetry.index with Not_found -> []
-      in
-      Hashtbl.replace pairs_of_class p.cls.Symmetry.index (p :: existing))
-    t.pairs;
   (* Shed over-assignment first: a stale cross-round seed can leave a class
      holding more servers than it has members (its membership shrank under
      churn).  Drop one server at a time — from the reservation with the
@@ -587,21 +551,19 @@ let repair t solution =
     let guard = ref 0 in
     while class_used.(c) > size && !guard < 10_000 do
       incr guard;
-      let ps = try Hashtbl.find pairs_of_class c with Not_found -> [] in
       let best = ref None in
-      List.iter
-        (fun p ->
-          if count_of p > 0 then begin
-            let surplus =
-              !(Hashtbl.find res_total p.res.Reservation.id) -. p.res.Reservation.capacity_rru
-            in
+      Array.iter
+        (fun i ->
+          if counts.(i) > 0 then begin
+            let p = t.pairs.(i) in
+            let surplus = res_total.(p.res_index) -. p.res.Reservation.capacity_rru in
             match !best with
             | Some (bs, _) when bs >= surplus -> ()
-            | _ -> best := Some (surplus, p)
+            | _ -> best := Some (surplus, i)
           end)
-        ps;
+        t.class_pairs.(c);
       match !best with
-      | Some (_, p) -> bump p (-1)
+      | Some (_, i) -> bump i (-1)
       | None -> guard := 10_000 (* unreachable: class_used > 0 implies a positive count *)
     done
   done;
@@ -612,32 +574,32 @@ let repair t solution =
       res.Reservation.capacity_rru *. (1.0 +. (1.2 /. float_of_int (num_msbs - 1)))
     else res.Reservation.capacity_rru
   in
-  List.iter
-    (fun res ->
-      let rid = res.Reservation.id in
-      let my_pairs = try Hashtbl.find pairs_of_res rid with Not_found -> [] in
+  List.iteri
+    (fun ri res ->
+      let my_pairs = t.res_pairs.(ri) in
       let cr = res.Reservation.capacity_rru in
-      let total = Hashtbl.find res_total rid in
       let msb_rru = Array.make num_msbs 0.0 in
-      List.iter
-        (fun p ->
+      Array.iter
+        (fun i ->
+          let p = t.pairs.(i) in
           msb_rru.(p.cls.Symmetry.msb) <-
-            msb_rru.(p.cls.Symmetry.msb) +. (value p *. float_of_int (count_of p)))
+            msb_rru.(p.cls.Symmetry.msb) +. (p.rru *. float_of_int counts.(i)))
         my_pairs;
       let buffered = res.Reservation.embedded_buffer && num_msbs > 1 in
       (* expression (6): what the reservation keeps after losing its fullest
          MSB must cover the request; without an embedded buffer plain total
          suffices *)
       let surviving () =
-        if buffered then !total -. Array.fold_left Float.max 0.0 msb_rru else !total
+        if buffered then res_total.(ri) -. Array.fold_left Float.max 0.0 msb_rru
+        else res_total.(ri)
       in
       (* deficit reduction if one server of pair [p] were added *)
       let gain p =
-        if not buffered then value p
+        if not buffered then p.rru
         else begin
           let old_max = Array.fold_left Float.max 0.0 msb_rru in
-          let new_max = Float.max old_max (msb_rru.(p.cls.Symmetry.msb) +. value p) in
-          !total +. value p -. new_max -. surviving ()
+          let new_max = Float.max old_max (msb_rru.(p.cls.Symmetry.msb) +. p.rru) in
+          res_total.(ri) +. p.rru -. new_max -. surviving ()
         end
       in
       let guard = ref 0 in
@@ -647,60 +609,62 @@ let repair t solution =
         incr guard;
         (* free supply: candidate with the best deficit reduction *)
         let best_free = ref None in
-        List.iter
-          (fun p ->
+        Array.iter
+          (fun i ->
+            let p = t.pairs.(i) in
             if class_used.(p.cls.Symmetry.index) < Symmetry.size p.cls then begin
               let g = gain p in
               if g > 1e-9 then
                 match !best_free with
                 | Some (bg, _) when bg >= g -> ()
-                | _ -> best_free := Some (g, p)
+                | _ -> best_free := Some (g, i)
             end)
           my_pairs;
         match !best_free with
-        | Some (_, p) ->
-          bump p 1;
-          msb_rru.(p.cls.Symmetry.msb) <- msb_rru.(p.cls.Symmetry.msb) +. value p;
+        | Some (_, i) ->
+          let p = t.pairs.(i) in
+          bump i 1;
+          msb_rru.(p.cls.Symmetry.msb) <- msb_rru.(p.cls.Symmetry.msb) +. p.rru;
           progress := true
         | None ->
           (* donors: anyone who keeps its safety margin after giving one up *)
           let best_donor = ref None in
-          List.iter
-            (fun my_p ->
+          Array.iter
+            (fun i_my ->
+              let my_p = t.pairs.(i_my) in
               let g = gain my_p in
-              if g > 1e-9 then begin
-                let others =
-                  try Hashtbl.find pairs_of_class my_p.cls.Symmetry.index with Not_found -> []
-                in
-                List.iter
-                  (fun donor ->
-                    if donor.res.Reservation.id <> rid && count_of donor > 0 then begin
-                      let donor_total = !(Hashtbl.find res_total donor.res.Reservation.id) in
-                      if donor_total -. value donor >= donor_floor donor.res -. 1e-6 then begin
+              if g > 1e-9 then
+                Array.iter
+                  (fun i_donor ->
+                    let donor = t.pairs.(i_donor) in
+                    if donor.res_index <> ri && counts.(i_donor) > 0 then begin
+                      let donor_total = res_total.(donor.res_index) in
+                      if donor_total -. donor.rru >= donor_floor donor.res -. 1e-6 then begin
                         (* stealing an idle server avoids a preemption *)
                         let key = ((if donor.cls.Symmetry.in_use then 0 else 1), g) in
                         match !best_donor with
                         | Some (bk, _, _) when bk >= key -> ()
-                        | _ -> best_donor := Some (key, my_p, donor)
+                        | _ -> best_donor := Some (key, i_my, i_donor)
                       end
                     end)
-                  others
-              end)
+                  t.class_pairs.(my_p.cls.Symmetry.index))
             my_pairs;
           (match !best_donor with
-          | Some (_, my_p, donor) ->
-            bump donor (-1);
-            bump my_p 1;
-            msb_rru.(my_p.cls.Symmetry.msb) <- msb_rru.(my_p.cls.Symmetry.msb) +. value my_p;
+          | Some (_, i_my, i_donor) ->
+            let my_p = t.pairs.(i_my) in
+            bump i_donor (-1);
+            bump i_my 1;
+            msb_rru.(my_p.cls.Symmetry.msb) <- msb_rru.(my_p.cls.Symmetry.msb) +. my_p.rru;
             progress := true
           | None -> ())
       done)
     t.reservations;
   improve_spread t ~counts ~class_used;
   improve_affinity t ~counts ~class_used;
-  encode t (fun p -> count_of p)
+  encode t counts
+
 let movement_units t solution ~in_use =
-  List.fold_left
+  Array.fold_left
     (fun acc p ->
       if p.cls.Symmetry.in_use = in_use then begin
         let owner = Reservation.owner p.res in
@@ -731,7 +695,7 @@ let partition_vars t ~parts =
   in
   List.iteri (fun i res -> Hashtbl.replace res_part res.Reservation.id (i mod parts)) sorted;
   let part_of_res rid = match Hashtbl.find_opt res_part rid with Some p -> p | None -> 0 in
-  List.iter (fun p -> assign.(p.var) <- part_of_res p.res.Reservation.id) t.pairs;
+  Array.iter (fun p -> assign.(p.var) <- part_of_res p.res.Reservation.id) t.pairs;
   List.iter (fun (rid, v) -> assign.(v) <- part_of_res rid) t.capacity_slack;
   List.iter (fun (rid, v) -> assign.(v) <- part_of_res rid) t.buffer_var;
   List.iter

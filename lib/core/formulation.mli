@@ -39,13 +39,28 @@ type params = {
 
 val default_params : params
 
-type pair = { cls : Symmetry.cls; res : Reservation.t; var : Ras_mip.Model.var }
+type pair = {
+  cls : Symmetry.cls;
+  res : Reservation.t;
+  res_index : int;  (** position of [res] in {!t.reservations} *)
+  var : Ras_mip.Model.var;
+  rru : float;  (** [res.rru_of] the class's hardware: one server's value *)
+}
 
+(** The pair index is built once by {!build}; every pass over pairs reads
+    it instead of regrouping them.  Per-pair data (counts, an
+    {!assignment}) lives in arrays indexed like [pairs]. *)
 type t = {
   model : Ras_mip.Model.t;
   symmetry : Symmetry.t;
   reservations : Reservation.t list;
-  pairs : pair list;  (** assignment variables in creation order *)
+  pairs : pair array;
+      (** assignment variables in creation order (classes ascending, then
+          reservations in list order); a pair's position is its index *)
+  class_pairs : int array array;
+      (** class index -> its pair indices, descending *)
+  res_pairs : int array array;
+      (** reservation position -> its pair indices, descending *)
   capacity_slack : (int * Ras_mip.Model.var) list;  (** reservation id -> slack *)
   buffer_var : (int * Ras_mip.Model.var) list;  (** reservation id -> z_r *)
   aux_defs : (Ras_mip.Model.var * Ras_mip.Lin_expr.t list) list;
@@ -66,9 +81,9 @@ val build :
 
 val num_assignment_vars : t -> int
 
-type assignment = { counts : (Symmetry.cls * Reservation.t * int) list }
-(** How many servers of each class go to each reservation (pairs with a zero
-    count are omitted). *)
+type assignment = int array
+(** How many servers of each class go to each reservation, indexed like
+    [pairs]. *)
 
 val decode : t -> float array -> assignment
 (** Read counts out of a solver solution vector. *)
@@ -81,9 +96,10 @@ val movement_units : t -> float array -> in_use:bool -> float
 (** Total servers moved out of their current owner, split by in-use flag —
     feeds Fig. 16. *)
 
-val encode : t -> (pair -> int) -> float array
+val encode : t -> int array -> float array
 (** Build a complete, feasible solution vector from per-pair assignment
-    counts (auxiliaries take their cheapest feasible values).  The counts
+    counts, indexed like [pairs] (auxiliaries take their cheapest feasible
+    values).  The counts
     must respect class supply; this is not re-checked here. *)
 
 val status_quo : t -> float array
@@ -99,9 +115,13 @@ val round_lp : t -> float array -> float array
     movement units of the LP bound (Fig. 9's quality-gap regime). *)
 
 val repair : t -> float array -> float array
-(** Greedy capacity repair of an integral solution: tops up reservations
-    left short (e.g. by rounding scarce hardware classes) from unassigned
-    supply first, then from donors that stay above their own capacity. *)
+(** Greedy capacity repair of an integral solution: sheds over-assigned
+    classes, tops up reservations left short (e.g. by rounding scarce
+    hardware classes) from unassigned supply first, then from donors that
+    stay above their own capacity, then runs the MSB-spread and
+    datacenter-affinity local searches.  Every candidate walk follows the
+    pair index's descending order and keeps the first candidate seen on a
+    tie. *)
 
 val partition_vars : t -> parts:int -> int array
 (** POP-style partition map for {!Ras_mip.Decompose}: entry [v] is the

@@ -53,13 +53,7 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
   in
   (* Primal heuristic: round the LP relaxation into a feasible integral
      solution; keep whichever of it and the status quo is cheaper. *)
-  let objective_of x =
-    let acc = ref std.Model.obj_offset in
-    for j = 0 to std.Model.nvars - 1 do
-      acc := !acc +. (std.Model.obj.(j) *. x.(j))
-    done;
-    !acc
-  in
+  let objective_of = Model.objective_value std in
   let initial =
     match lp with
     | Simplex.Optimal { x; _ } ->
@@ -180,15 +174,7 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
         | Simplex.Optimal { basis; iterations; _ } -> (Some basis, iterations)
         | _ -> (None, 0)
       in
-      let prices =
-        match lp with
-        | Simplex.Optimal { duals; _ } ->
-          Some
-            (Solver_state.price_table ~round:(Solver_state.round st)
-               ~row_names:std.Model.row_names ~duals ())
-        | _ -> None
-      in
-      Solver_state.commit st ?prices ~std ~basis:root_basis ~incumbent:(Some solution)
+      Solver_state.commit st ~std ~basis:root_basis ~incumbent:(Some solution)
         ~diff:(Option.map (fun w -> w.Solver_state.wdiff) warm)
         ~rows_reused:(match warm with Some w -> w.Solver_state.wrows_reused | None -> 0)
         ~seed:!seed_status ~root_pivots ();

@@ -50,7 +50,8 @@ val broker : t -> Ras_broker.Broker.t
 
 val set_prices : t -> Solver_state.price_table -> unit
 (** Install the dual prices of the latest tier-2 solve
-    ({!Async_solver.stats.price_table} or {!Solver_state.prices}).  Without
+    ({!Async_solver.stats.price_table}, or a {!Solver_state.price_table}
+    parsed from a {!Phases.result}'s duals).  Without
     prices every bucket scores 0 and repair falls back to deterministic
     (same-subtype first, lowest bucket) choice. *)
 

@@ -123,13 +123,9 @@ type t = {
   mutable rounds : int;
   mutable cold_root_pivots : int;
   mutable stats : round_stats list;  (* reversed *)
-  mutable pprices : price_table option;
 }
 
-let create () =
-  { prev = None; rounds = 0; cold_root_pivots = 0; stats = []; pprices = None }
-
-let prices t = t.pprices
+let create () = { prev = None; rounds = 0; cold_root_pivots = 0; stats = [] }
 
 let round t = t.rounds
 
@@ -164,11 +160,8 @@ let prepare t ~next =
     in
     Some { wdiff = Incremental.stats d; wbasis; wrows_reused; wseed }
 
-let commit t ?prices ~std ~basis ~incumbent ~diff ~rows_reused ~seed ~root_pivots () =
+let commit t ~std ~basis ~incumbent ~diff ~rows_reused ~seed ~root_pivots () =
   if t.rounds = 0 then t.cold_root_pivots <- root_pivots;
-  (match prices with
-  | Some p -> t.pprices <- Some p
-  | None -> ());  (* a dual-less round keeps the previous (stale but advisory) table *)
   let r =
     {
       round = t.rounds;

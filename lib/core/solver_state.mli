@@ -79,10 +79,6 @@ val create : unit -> t
 (** An empty state: the first round through it is a cold solve that only
     populates the cache. *)
 
-val prices : t -> price_table option
-(** The price table of the most recent committed round that reached LP
-    optimality (later dual-less rounds keep the previous table). *)
-
 val round : t -> int
 (** Number of rounds committed so far. *)
 
@@ -110,7 +106,6 @@ val prepare : t -> next:Ras_mip.Model.std -> warm option
 
 val commit :
   t ->
-  ?prices:price_table ->
   std:Ras_mip.Model.std ->
   basis:Ras_mip.Simplex.warm_basis option ->
   incumbent:float array option ->
@@ -124,5 +119,4 @@ val commit :
     records the round's stats.  Round 0's [root_pivots] becomes the cold
     baseline for [pivots_saved].  A [None] basis leaves the previous cached
     basis unusable (the next round starts its LP cold but still diffs and
-    seeds).  [?prices] publishes the round's dual prices for the tier-1
-    reactive layer; omitted (dual-less round) keeps the previous table. *)
+    seeds). *)

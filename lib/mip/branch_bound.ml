@@ -150,12 +150,7 @@ let rounding_probe (std : Model.std) node x =
     end
   done;
   match Model.check_solution std y with
-  | Ok () ->
-    let obj = ref std.obj_offset in
-    for j = 0 to std.nvars - 1 do
-      obj := !obj +. (std.obj.(j) *. y.(j))
-    done;
-    Some (y, !obj)
+  | Ok () -> Some (y, Model.objective_value std y)
   | Error _ -> None
 
 let integral (std : Model.std) ~int_tol x =
@@ -295,17 +290,10 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
   let seed_status = ref Seed_none in
   (match options.initial with
   | Some x0 when Array.length x0 = std.nvars -> (
-    let objective_of y =
-      let obj = ref std.obj_offset in
-      for j = 0 to std.nvars - 1 do
-        obj := !obj +. (std.obj.(j) *. y.(j))
-      done;
-      !obj
-    in
     match Model.check_solution std x0 with
     | Ok () ->
       seed_status := Seed_accepted;
-      update_incumbent (Array.copy x0) (objective_of x0)
+      update_incumbent (Array.copy x0) (Model.objective_value std x0)
     | Error _ -> (
       (* A stale seed — e.g. last round's incumbent after churn moved the
          bounds — gets one bounded repair attempt: clamp into the root
@@ -323,12 +311,15 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
       match Model.check_solution std y with
       | Ok () ->
         seed_status := Seed_repaired;
-        update_incumbent y (objective_of y)
+        update_incumbent y (Model.objective_value std y)
       | Error _ -> seed_status := Seed_rejected))
   | Some _ -> seed_status := Seed_rejected
   | None -> ());
-  if options.node_limit > 0 then
-    process { nlb = root_lb; nub = root_ub; depth = 0; wb = options.root_basis } neg_infinity;
+  let root = { nlb = root_lb; nub = root_ub; depth = 0; wb = options.root_basis } in
+  (* with no node budget the root stays open and unexplored: nothing is
+     proven, so the bound stays [neg_infinity] *)
+  if options.node_limit > 0 then process root neg_infinity
+  else Heap.push open_nodes neg_infinity root;
   let max_plunge_depth = 100 in
   let stop = ref !unbounded in
   while not !stop do

@@ -25,6 +25,9 @@ type status =
 type options = {
   time_limit : float;  (** seconds of wall clock; [infinity] disables *)
   node_limit : int;
+      (** [<= 0] processes no node: the root stays open, so [best_bound]
+          is [neg_infinity] and the status is [Feasible] (seeded) or
+          [Unknown] *)
   gap_abs : float;  (** stop when [incumbent - best_bound <= gap_abs] *)
   gap_rel : float;  (** or [<= gap_rel * max 1 |incumbent|] *)
   stall_node_limit : int;

@@ -251,14 +251,7 @@ let solve ?(options = Branch_bound.default_options) ?pool ?(max_repair_moves = 1
     subs;
   let merge_repairs, unresolved_rows = repair ~max_moves:max_repair_moves std full in
   let feasible = Model.check_solution std full = Ok () in
-  let objective =
-    if not feasible then infinity
-    else begin
-      let acc = ref std.Model.obj_offset in
-      Array.iteri (fun v c -> acc := !acc +. (c *. full.(v))) std.Model.obj;
-      !acc
-    end
-  in
+  let objective = if feasible then Model.objective_value std full else infinity in
   let sum f = Array.fold_left (fun a (out, _) -> a + f out) 0 results in
   let outcome =
     {

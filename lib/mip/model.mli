@@ -89,6 +89,11 @@ val compile : t -> std
     duplicate coefficients, and builds both row- and column-major sparse
     views. *)
 
+val objective_value : std -> float array -> float
+(** [obj_offset] plus [obj.(j) *. x.(j)] summed in ascending [j] over the
+    structural variables; [x] may be longer (trailing slacks are
+    ignored). *)
+
 val check_solution : ?tol:float -> std -> float array -> (unit, string) result
 (** Verifies bounds, integrality and every row within tolerance (default
     [1e-6]); the error string names the first violated item.  Used by tests

@@ -969,13 +969,6 @@ let initial_state ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?lb_override ?ub_overrid
   if not warmed then set_cold st;
   (st, warmed)
 
-let objective_value st =
-  let acc = ref st.std.obj_offset in
-  for j = 0 to st.std.nvars - 1 do
-    acc := !acc +. (st.std.obj.(j) *. st.xval.(j))
-  done;
-  !acc
-
 let extract st = Array.sub st.xval 0 st.std.nvars
 
 (* The snapshot must own its arrays: the state's are workspace-backed and
@@ -1334,15 +1327,11 @@ let solve_unconstrained std lb ub =
     else if Float.is_finite ub.(j) && ub.(j) < 0.0 then x.(j) <- ub.(j)
   done;
   if !unbounded then Unbounded
-  else begin
-    let obj = ref std.obj_offset in
-    for j = 0 to n - 1 do
-      obj := !obj +. (std.obj.(j) *. x.(j))
-    done;
+  else
     Optimal
       {
         x;
-        obj = !obj;
+        obj = Model.objective_value std x;
         iterations = 0;
         dual_iterations = 0;
         bland_iterations = 0;
@@ -1350,7 +1339,6 @@ let solve_unconstrained std lb ub =
         basis = { wcols = [||]; wstatus = [||]; wfac = None };
         kstats = { avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0; bound_flips = 0 };
       }
-  end
 
 let solve ?max_iters ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?(pricing = Devex)
     ?(degen_limit = 100) ?(devex_reset_period = 0) ?trace ?(backend = Basis.Lu) ?ws
@@ -1430,7 +1418,7 @@ let solve ?max_iters ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?(pricing = Devex)
                 (Optimal
                    {
                      x = extract st;
-                     obj = objective_value st;
+                     obj = Model.objective_value st.std st.xval;
                      iterations = st.iterations;
                      dual_iterations = st.dual_pivots;
                      bland_iterations = st.bland_pivots;
@@ -1571,5 +1559,5 @@ let solve ?max_iters ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?(pricing = Devex)
     | Some r -> r
     | None ->
       let _, infeas_count = total_infeasibility st in
-      Iteration_limit { feasible = infeas_count = 0; obj = objective_value st }
+      Iteration_limit { feasible = infeas_count = 0; obj = Model.objective_value st.std st.xval }
   end

@@ -1,8 +1,10 @@
-(** Full-scan reference implementations kept as differential oracles: the
+(** Reference implementations kept as differential oracles: the
     tier-1 policies behind {!Ras.Online_mover.find_replacement} and
-    {!Ras.Emergency.grant}, and the per-server concretizer behind
-    {!Ras.Concretize.plan}.  Built only from the public API; O(servers)
-    per call by design. *)
+    {!Ras.Emergency.grant}, the per-server concretizer behind
+    {!Ras.Concretize.plan}, and the table-keyed LP rounding and repair
+    behind {!Ras.Formulation.round_lp} and {!Ras.Formulation.repair}.
+    Built only from the public API; the scans are O(servers) per call by
+    design. *)
 
 val find_replacement_reference :
   Ras_broker.Broker.t -> Ras.Online_mover.t -> Ras.Reservation.t -> failed_hw:int -> int option
@@ -37,3 +39,14 @@ val plan_target : Ras.Snapshot.t -> Ras.Concretize.plan -> int -> Ras_broker.Bro
 (** [plan_target snapshot plan id]: the owner [plan] leaves server [id]
     with — its snapshot owner, overridden by the plan's move when it has
     one: the per-server view the tests read counts and movement from. *)
+
+val round_lp_reference : Ras.Formulation.t -> float array -> float array
+(** The largest-remainder rounding {!Ras.Formulation.round_lp} must equal
+    bit for bit: pairs regrouped per class through a table, counts kept in
+    a table keyed by (class index, reservation id). *)
+
+val repair_reference : Ras.Formulation.t -> float array -> float array
+(** The shed / top-up / donor repair plus the MSB-spread and
+    datacenter-affinity local searches {!Ras.Formulation.repair} must equal
+    bit for bit, written over per-call regroupings and tuple-keyed count
+    tables. *)

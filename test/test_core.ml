@@ -240,6 +240,28 @@ let test_status_quo_zero_movement () =
   Alcotest.(check (float 1e-6)) "no idle movement" 0.0
     (Formulation.movement_units f sq ~in_use:false)
 
+(* The pair-indexed LP rounding and repair against the table-keyed
+   references, whole solution vectors compared with [=]: the rounded root
+   LP, the status quo, and every pair at its class size (each class
+   oversubscribed, which drives the shed loop). *)
+let check_heuristics_match label (f : Formulation.t) =
+  let same what a b = Alcotest.(check bool) (Printf.sprintf "%s: %s" label what) true (a = b) in
+  let repair_same what x = same what (Formulation.repair f x) (Oracles.repair_reference f x) in
+  (match Simplex.solve (Model.compile f.Formulation.model) with
+  | Simplex.Optimal { x; _ } ->
+    let rounded = Formulation.round_lp f x in
+    same "round_lp" rounded (Oracles.round_lp_reference f x);
+    repair_same "repair of the rounding" rounded
+  | _ -> Alcotest.fail "LP should solve");
+  repair_same "repair of the status quo" (Formulation.status_quo f);
+  repair_same "repair of an oversubscribed assignment"
+    (Formulation.encode f
+       (Array.map (fun (p : Formulation.pair) -> Symmetry.size p.Formulation.cls) f.Formulation.pairs))
+
+let test_heuristics_match_references () =
+  let f, _ = formulation_fixture () in
+  check_heuristics_match "fixture" f
+
 (* ---------- Concretize ---------- *)
 
 let test_concretize_stability_and_cover () =
@@ -262,7 +284,7 @@ let test_concretize_stability_and_cover () =
     |> List.sort compare
   in
   Alcotest.(check bool) "fixture has owned classed servers" true (owned <> []);
-  let emptied = Concretize.plan f { Formulation.counts = [] } in
+  let emptied = Concretize.plan f (Array.make (Formulation.num_assignment_vars f) 0) in
   Alcotest.(check (list int)) "moves cover the owned classed servers" owned
     (List.map (fun (m : Concretize.move) -> m.Concretize.server) emptied.Concretize.moves);
   List.iter
@@ -298,18 +320,18 @@ let test_concretize_counts_respected () =
     (* per (class, reservation) the number of servers the plan leaves with
        the owner equals the decoded count *)
     let target_of = Oracles.plan_target snap plan in
-    List.iter
-      (fun ((c : Symmetry.cls), (res : Reservation.t), count) ->
+    Array.iteri
+      (fun i { Formulation.cls; res; _ } ->
         let owner = Reservation.owner res in
         let got =
           Array.fold_left
             (fun acc id -> if target_of id = owner then acc + 1 else acc)
-            0 c.Symmetry.members
+            0 cls.Symmetry.members
         in
         (* shared-buffer owners pool across category reservations *)
         if not (Reservation.is_buffer res) then
-          Alcotest.(check int) "count realized" count got)
-      assignment.Formulation.counts
+          Alcotest.(check int) "count realized" assignment.(i) got)
+      f.Formulation.pairs
   | _ -> Alcotest.fail "LP should solve"
 
 (* ---------- Async solver end-to-end ---------- *)
@@ -412,7 +434,10 @@ let test_solver_merge_matches_oracle () =
   in
   Alcotest.(check bool) "the plan moves servers" true (expected <> []);
   Alcotest.(check bool) "merged plan equals the overlaid reference targets" true
-    (stats.Async_solver.plan.Concretize.moves = expected)
+    (stats.Async_solver.plan.Concretize.moves = expected);
+  (* both phases' formulations, phase 2's rack-level, heuristics included *)
+  check_heuristics_match "phase 1" stats.Async_solver.phase1.Phases.formulation;
+  check_heuristics_match "phase 2" phase2.Phases.formulation
 
 (* ---------- storage quorum spread (paragraph 3.3.2) ---------- *)
 
@@ -897,6 +922,7 @@ let suite =
     Alcotest.test_case "repair improves shortfalls" `Slow test_repair_improves_shortfalls;
     Alcotest.test_case "encode aux semantics" `Slow test_encode_aux_semantics;
     Alcotest.test_case "status quo zero movement" `Slow test_status_quo_zero_movement;
+    Alcotest.test_case "heuristics match references" `Slow test_heuristics_match_references;
     Alcotest.test_case "concretize stability" `Slow test_concretize_stability_and_cover;
     Alcotest.test_case "concretize counts" `Slow test_concretize_counts_respected;
     Alcotest.test_case "solver meets capacity" `Slow test_solver_meets_capacity;

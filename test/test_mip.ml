@@ -205,7 +205,23 @@ let test_mip_respects_initial_incumbent () =
     { Branch_bound.default_options with Branch_bound.node_limit = 0; initial = Some [| 3.0 |] }
   in
   let out = Branch_bound.solve ~options std in
-  Alcotest.(check (float 1e-6)) "incumbent used" 3.0 out.Branch_bound.objective
+  Alcotest.(check (float 1e-6)) "incumbent used" 3.0 out.Branch_bound.objective;
+  (* node_limit = 0 never processes the root: the seed is all that is
+     known, nothing is proven *)
+  Alcotest.(check int) "no node processed" 0 out.Branch_bound.nodes;
+  Alcotest.(check bool) "seeded: feasible, not optimal" true
+    (out.Branch_bound.status = Branch_bound.Feasible);
+  Alcotest.(check bool) "seeded: bound unproven" true
+    (out.Branch_bound.best_bound = neg_infinity);
+  Alcotest.(check bool) "seeded: gap open" true (out.Branch_bound.gap = infinity);
+  let unseeded =
+    Branch_bound.solve ~options:{ options with Branch_bound.initial = None } std
+  in
+  Alcotest.(check bool) "unseeded: unknown, not infeasible" true
+    (unseeded.Branch_bound.status = Branch_bound.Unknown);
+  Alcotest.(check bool) "unseeded: no solution" true (unseeded.Branch_bound.solution = None);
+  Alcotest.(check bool) "unseeded: bound unproven" true
+    (unseeded.Branch_bound.best_bound = neg_infinity)
 
 let test_mip_invalid_initial_ignored () =
   let m = Model.create () in
@@ -364,23 +380,6 @@ let prop_lp_round_trip_preserves_optimum =
         | Branch_bound.Optimal, Branch_bound.Optimal ->
           Float.abs (a.Branch_bound.objective -. b.Branch_bound.objective) <= 1e-6
         | sa, sb -> sa = sb))
-
-(* ---------- MPS writer ---------- *)
-
-let test_mps_sections () =
-  let m = Model.create () in
-  let x = Model.add_var ~name:"x" ~kind:Model.Integer ~ub:3.0 m in
-  let y = Model.add_var ~name:"y" ~lb:(-1.0) ~ub:2.0 m in
-  let z = Model.add_var ~name:"z" ~lb:5.0 ~ub:5.0 m in
-  let _ = Model.add_constraint ~name:"cap" m (Lin_expr.of_terms [ (1.0, x); (2.0, y) ]) Model.Le 4.0 in
-  let _ = Model.add_constraint ~name:"floor" m (Lin_expr.of_terms [ (1.0, z) ]) Model.Ge 1.0 in
-  Model.set_objective m (Lin_expr.var x);
-  let text = Mps_format.to_string (Model.compile m) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "contains %s" needle) true (contains text needle))
-    [ "NAME"; "ROWS"; " L  cap"; " G  floor"; "COLUMNS"; "INTORG"; "INTEND"; "RHS";
-      "BOUNDS"; " FX BND"; " UP BND"; "ENDATA" ]
 
 (* ---------- randomized cross-check ---------- *)
 
@@ -660,7 +659,6 @@ let suite =
     Alcotest.test_case "mip gap and rounding" `Quick test_mip_gap_reported;
     Alcotest.test_case "mip mixed integer" `Quick test_mip_mixed_integer;
     Alcotest.test_case "lp format sections" `Quick test_lp_format_sections;
-    Alcotest.test_case "mps sections" `Quick test_mps_sections;
     Alcotest.test_case "lp parse round trip" `Quick test_lp_round_trip;
     Alcotest.test_case "lp parse rejects garbage" `Quick test_lp_parse_rejects_garbage;
     Alcotest.test_case "lp parse duplicate bounds" `Quick test_lp_parse_duplicate_bounds;

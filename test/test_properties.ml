@@ -39,33 +39,20 @@ let prop_concretize_realizes_random_counts =
       let rng = Ras_stats.Rng.create seed in
       (* random feasible counts: walk classes, hand out supply to random
          acceptable reservations *)
-      let counts = Hashtbl.create 64 in
+      let counts = Array.make (Formulation.num_assignment_vars f) 0 in
       Array.iter
         (fun (cls : Symmetry.cls) ->
-          let pairs =
-            List.filter (fun (p : Formulation.pair) -> p.Formulation.cls == cls) f.Formulation.pairs
-          in
-          if pairs <> [] then begin
-            let budget = ref (Symmetry.size cls) in
-            List.iter
-              (fun (p : Formulation.pair) ->
-                if !budget > 0 then begin
-                  let take = Ras_stats.Rng.int rng (!budget + 1) in
-                  if take > 0 then begin
-                    Hashtbl.replace counts
-                      (cls.Symmetry.index, p.Formulation.res.Reservation.id)
-                      take;
-                    budget := !budget - take
-                  end
-                end)
-              pairs
-          end)
+          let budget = ref (Symmetry.size cls) in
+          Array.iteri
+            (fun i (p : Formulation.pair) ->
+              if p.Formulation.cls == cls && !budget > 0 then begin
+                let take = Ras_stats.Rng.int rng (!budget + 1) in
+                counts.(i) <- take;
+                budget := !budget - take
+              end)
+            f.Formulation.pairs)
         f.Formulation.symmetry.Symmetry.classes;
-      let count_of (p : Formulation.pair) =
-        try Hashtbl.find counts (p.Formulation.cls.Symmetry.index, p.Formulation.res.Reservation.id)
-        with Not_found -> 0
-      in
-      let solution = Formulation.encode f count_of in
+      let solution = Formulation.encode f counts in
       let assignment = Formulation.decode f solution in
       let plan = Concretize.plan f assignment in
       let snapshot = f.Formulation.symmetry.Symmetry.snapshot in
@@ -75,8 +62,8 @@ let prop_concretize_realizes_random_counts =
       (* 1. realized counts match (buffer reservations pool per category, so
          check guaranteed ones exactly) *)
       let realized_ok =
-        List.for_all
-          (fun (p : Formulation.pair) ->
+        Array.for_all2
+          (fun (p : Formulation.pair) count ->
             Reservation.is_buffer p.Formulation.res
             ||
             let owner = Reservation.owner p.Formulation.res in
@@ -85,14 +72,14 @@ let prop_concretize_realizes_random_counts =
                 (fun acc id -> if target_of id = owner then acc + 1 else acc)
                 0 p.Formulation.cls.Symmetry.members
             in
-            got = count_of p)
-          f.Formulation.pairs
+            got = count)
+          f.Formulation.pairs counts
       in
       (* 2. movement minimality: per guaranteed pair, exactly
          max(0, N0 - n) members leave the owner *)
       let movement_ok =
-        List.for_all
-          (fun (p : Formulation.pair) ->
+        Array.for_all2
+          (fun (p : Formulation.pair) count ->
             Reservation.is_buffer p.Formulation.res
             ||
             let owner = Reservation.owner p.Formulation.res in
@@ -104,8 +91,8 @@ let prop_concretize_realizes_random_counts =
                   else acc)
                 0 p.Formulation.cls.Symmetry.members
             in
-            stayed = min n0 (count_of p))
-          f.Formulation.pairs
+            stayed = min n0 count)
+          f.Formulation.pairs counts
       in
       reference_ok && realized_ok && movement_ok)
 
@@ -114,7 +101,7 @@ let prop_concretize_realizes_random_counts =
 (* Randomized regions with random churn (greedy fulfillment, failures of
    every kind, a random-modulus placement attribute) exercise the streaming
    aggregation path far from the presets. *)
-let aggregation_scenario seed =
+let aggregation_world seed =
   let module R = Ras_stats.Rng in
   let rng = R.create seed in
   let params =
@@ -152,6 +139,10 @@ let aggregation_scenario seed =
   done;
   let attr_mod = 2 + R.int rng 8 in
   let attr_of id = if id mod attr_mod = 0 then 1 else 0 in
+  (broker, reservations, attr_of)
+
+let aggregation_scenario seed =
+  let broker, reservations, attr_of = aggregation_world seed in
   (Snapshot.take ~attr_of broker reservations, reservations)
 
 let prop_aggregation_invariants =
@@ -229,14 +220,10 @@ let prop_aggregation_invariants =
          included, concretizes to the reference concretizer's moves *)
       let arbitrary =
         let rng = Ras_stats.Rng.create (seed lxor 0x5eed) in
-        {
-          Formulation.counts =
-            List.map
-              (fun (p : Formulation.pair) ->
-                let cls = p.Formulation.cls in
-                (cls, p.Formulation.res, Ras_stats.Rng.int rng (Symmetry.size cls + 1)))
-              f.Formulation.pairs;
-        }
+        Array.map
+          (fun (p : Formulation.pair) ->
+            Ras_stats.Rng.int rng (Symmetry.size p.Formulation.cls + 1))
+          f.Formulation.pairs
       in
       let reference_ok =
         (Concretize.plan f arbitrary).Concretize.moves
@@ -244,6 +231,67 @@ let prop_aggregation_invariants =
       in
       matches_reference && counts_sum && representative_ok && capacity_ok && histogram_ok
       && identity_ok && reference_ok)
+
+(* ---------- formulation heuristics vs their references ---------- *)
+
+(* The pair-indexed LP rounding and repair must return the table-keyed
+   references' solution vectors exactly ([=] on the whole float array) on
+   every kind of input the solver hands them: the rounded root LP, the
+   status quo, an arbitrary per-pair assignment that oversubscribes classes
+   (the shed loop), and last round's incumbent mapped onto a churned
+   round's formulation, as the continuous loop seeds it. *)
+let prop_heuristics_match_references =
+  QCheck.Test.make
+    ~name:"LP rounding and repair match the table-keyed references (200-seed corpus)"
+    ~count:200 QCheck.int
+    (fun seed ->
+      let module R = Ras_stats.Rng in
+      let broker, reservations, attr_of = aggregation_world seed in
+      let formulation () =
+        let f =
+          Formulation.build (Symmetry.build (Snapshot.take ~attr_of broker reservations)) reservations
+        in
+        (f, Model.compile f.Formulation.model)
+      in
+      let repair_ok f x = Formulation.repair f x = Oracles.repair_reference f x in
+      let f, std = formulation () in
+      (* 1. the rounded root LP, then its repair *)
+      let lp_ok, incumbent =
+        match Simplex.solve std with
+        | Simplex.Optimal { x; _ } ->
+          let rounded = Formulation.round_lp f x in
+          ( rounded = Oracles.round_lp_reference f x && repair_ok f rounded,
+            Formulation.repair f rounded )
+        | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ ->
+          (false, Formulation.status_quo f)
+      in
+      (* 2. the status quo *)
+      let status_quo_ok = repair_ok f (Formulation.status_quo f) in
+      (* 3. an arbitrary per-pair assignment, classes oversubscribed *)
+      let rng = R.create (seed lxor 0xa11) in
+      let arbitrary =
+        Formulation.encode f
+          (Array.map
+             (fun (p : Formulation.pair) -> R.int rng (Symmetry.size p.Formulation.cls + 1))
+             f.Formulation.pairs)
+      in
+      let arbitrary_ok = repair_ok f arbitrary in
+      (* 4. churn the region (failures, recoveries, ownership and in-use
+         flips), then repair the incumbent mapped onto the new round *)
+      let n = Broker.num_servers broker in
+      for _ = 1 to 1 + R.int rng (1 + (n / 5)) do
+        let id = R.int rng n in
+        match R.int rng 4 with
+        | 0 -> Broker.mark_down broker id Ras_failures.Unavail.Unplanned_hw
+        | 1 -> Broker.mark_up broker id
+        | 2 -> Broker.move broker id Broker.Free
+        | _ -> Broker.set_in_use broker id (R.bool rng)
+      done;
+      let f2, std2 = formulation () in
+      let stale =
+        Ras_mip.Incremental.(map_solution (diff ~prev:std ~next:std2)) incumbent
+      in
+      lp_ok && status_quo_ok && arbitrary_ok && repair_ok f2 stale)
 
 (* ---------- simplex under bad scaling ---------- *)
 
@@ -421,4 +469,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_devex_weights_ge_one;
     QCheck_alcotest.to_alcotest prop_devex_reset_equivalence;
     Alcotest.test_case "system runs are deterministic" `Slow test_system_deterministic;
+    QCheck_alcotest.to_alcotest prop_heuristics_match_references;
   ]

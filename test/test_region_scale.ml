@@ -13,7 +13,8 @@
    - disaggregation: a class-level solution concretized to per-server
      moves must equal the reference concretizer's, and the resulting
      owners re-aggregated must encode back to a feasible vector with the
-     same objective;
+     same objective (at the full preset, the LP rounding and repair must
+     also equal their table-keyed references);
    - ceilings: compiled size must be independent of raw server count
      (Fig. 10/11 regime), formulation+compile and concretize allocation
      must be bounded by model size and moves (not server count), and the
@@ -172,11 +173,6 @@ let test_solves_agree_across_rules () =
 
 (* ---------- disaggregation round trip ---------- *)
 
-let objective_of (std : Model.std) x =
-  let acc = ref std.Model.obj_offset in
-  Array.iteri (fun v c -> acc := !acc +. (c *. x.(v))) std.Model.obj;
-  !acc
-
 let test_disaggregation_round_trip () =
   let snapshot, reservations = scale_snapshot ~servers_per_rack:1 () in
   let result = Phases.run ~mip_node_limit:0 snapshot reservations in
@@ -185,6 +181,21 @@ let test_disaggregation_round_trip () =
   let solution = result.Phases.solution in
   Alcotest.(check bool) "solver solution is feasible" true
     (Model.check_solution std solution = Ok ());
+  (* at the full preset, the region-scale rounding and repair equal the
+     table-keyed references, whole vectors *)
+  if full_scale () then begin
+    match Simplex.solve std with
+    | Simplex.Optimal { x; _ } ->
+      let rounded = Formulation.round_lp f x in
+      Alcotest.(check bool) "round_lp equals the reference" true
+        (rounded = Oracles.round_lp_reference f x);
+      Alcotest.(check bool) "repair equals the reference" true
+        (Formulation.repair f rounded = Oracles.repair_reference f rounded);
+      let sq = Formulation.status_quo f in
+      Alcotest.(check bool) "status-quo repair equals the reference" true
+        (Formulation.repair f sq = Oracles.repair_reference f sq)
+    | _ -> Alcotest.fail "region-scale root LP must be optimal"
+  end;
   (* class counts -> per-server moves, identical to the reference
      concretizer's *)
   let assignment = Formulation.decode f solution in
@@ -209,10 +220,11 @@ let test_disaggregation_round_trip () =
         | _ -> acc)
       0 p.Formulation.cls.Symmetry.members
   in
-  let rebuilt = Formulation.encode f count_of in
+  let rebuilt = Formulation.encode f (Array.map count_of f.Formulation.pairs) in
   Alcotest.(check bool) "re-aggregated solution is feasible" true
     (Model.check_solution std rebuilt = Ok ());
-  let obj_orig = objective_of std solution and obj_rebuilt = objective_of std rebuilt in
+  let obj_orig = Model.objective_value std solution
+  and obj_rebuilt = Model.objective_value std rebuilt in
   Alcotest.(check bool)
     (Printf.sprintf "objective preserved (%.6f vs %.6f)" obj_orig obj_rebuilt)
     true
