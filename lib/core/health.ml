@@ -5,7 +5,6 @@ module Unavail = Ras_failures.Unavail
 type t = {
   broker : Broker.t;
   active_kinds : (int, Unavail.kind list ref) Hashtbl.t;  (* server -> active events *)
-  mutable active : int;
 }
 
 let severity = function
@@ -27,7 +26,6 @@ let sync t server =
   | None -> Broker.mark_up t.broker server
 
 let start_event t event =
-  t.active <- t.active + 1;
   let servers = Unavail.servers_of (Broker.region t.broker) event in
   List.iter
     (fun server ->
@@ -44,7 +42,6 @@ let start_event t event =
     servers
 
 let end_event t event =
-  t.active <- t.active - 1;
   let servers = Unavail.servers_of (Broker.region t.broker) event in
   List.iter
     (fun server ->
@@ -66,7 +63,7 @@ let end_event t event =
     servers
 
 let install engine broker events =
-  let t = { broker; active_kinds = Hashtbl.create 1024; active = 0 } in
+  let t = { broker; active_kinds = Hashtbl.create 1024 } in
   List.iter
     (fun e ->
       let valid =
@@ -80,5 +77,3 @@ let install engine broker events =
       end)
     events;
   t
-
-let active_events t = t.active

@@ -91,13 +91,6 @@ let iter_views t ~f =
     f (view t id)
   done
 
-let fold_views t ~init ~f =
-  let acc = ref init in
-  for id = 0 to num_servers t - 1 do
-    acc := f !acc (view t id)
-  done;
-  !acc
-
 let usable_servers t =
   let out = ref [] in
   for id = num_servers t - 1 downto 0 do
@@ -114,9 +107,6 @@ let owned_by_code res code hw =
   else
     code = Broker.owner_code (Broker.Reservation res.Reservation.id)
     && not (Reservation.is_buffer res)
-
-let owned_by res (v : server_view) =
-  owned_by_code res (Broker.owner_code v.current) v.server.Region.hw
 
 let current_rru t res =
   let acc = ref 0.0 in

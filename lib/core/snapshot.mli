@@ -64,10 +64,6 @@ val usable_at : t -> int -> bool
 
 val attr_at : t -> int -> int
 
-val hw_index_at : t -> int -> int
-(** Hardware-catalog index of the server — an array read, no record
-    materialization (the admission hot path's accessor). *)
-
 val usable_hw_histogram : t -> int array
 (** Usable-server count per hardware-catalog index (length
     {!Ras_topology.Hardware.count}).  One integer pass over the columns;
@@ -81,16 +77,12 @@ val with_current : t -> int array -> t
 
 val iter_views : t -> f:(server_view -> unit) -> unit
 
-val fold_views : t -> init:'a -> f:('a -> server_view -> 'a) -> 'a
-
 val usable_servers : t -> server_view list
 
 val owned_by_code : Reservation.t -> int -> Ras_topology.Hardware.t -> bool
 (** [owned_by_code res code hw]: does owner-code [code] on a server of
     hardware [hw] place it in reservation [res]?  Buffer reservations own
     [Shared_buffer] servers of their hardware category. *)
-
-val owned_by : Reservation.t -> server_view -> bool
 
 val current_rru : t -> Reservation.t -> float
 (** Usable RRU currently bound to the reservation. *)

@@ -38,16 +38,15 @@ let pp_round ppf r =
 (* ---- price table: the tier-1 repair policy's view of the last solve ----
 
    Duals are keyed by compiled row names, which encode the stable symmetry
-   class key ("supply_m3h5u1a0") and the reservation id ("capacity_r12").
-   The table aggregates supply-row duals per (msb, hw) scope — the scope the
-   reactive pools are bucketed by — taking the max |dual| over the in_use /
-   attr variants, so a class whose servers the solver fully values keeps its
-   whole (msb, hw) bucket expensive. *)
+   class key ("supply_m3h5u1a0").  The table aggregates supply-row duals
+   per (msb, hw) scope — the scope the reactive pools are bucketed by —
+   taking the max |dual| over the in_use / attr variants, so a class whose
+   servers the solver fully values keeps its whole (msb, hw) bucket
+   expensive. *)
 
 type price_table = {
   price_round : int;
   class_prices : (int, float) Hashtbl.t;  (* msb * Hw.count + hw -> max |supply dual| *)
-  capacity_prices : (int, float) Hashtbl.t;  (* reservation id -> capacity-row dual *)
 }
 
 let hw_count = Ras_topology.Hardware.count
@@ -73,44 +72,23 @@ let parse_supply name =
       else match digits (i + 1) with None -> None | Some (hw, _) -> Some (msb, hw))
   end
 
-let parse_capacity name =
-  match String.index_opt name 'r' with
-  | Some i when String.starts_with ~prefix:"capacity_r" name -> (
-    match int_of_string_opt (String.sub name (i + 1) (String.length name - i - 1)) with
-    | Some rid -> Some rid
-    | None -> None)
-  | Some _ | None -> None
-
 let price_table ?(round = 0) ~row_names ~duals () =
-  let t =
-    {
-      price_round = round;
-      class_prices = Hashtbl.create 256;
-      capacity_prices = Hashtbl.create 32;
-    }
-  in
+  let t = { price_round = round; class_prices = Hashtbl.create 256 } in
   let n = Int.min (Array.length row_names) (Array.length duals) in
   for i = 0 to n - 1 do
     let d = duals.(i) in
-    if Float.abs d > 1e-12 then begin
+    if Float.abs d > 1e-12 then
       match parse_supply row_names.(i) with
       | Some (msb, hw) ->
         let key = (msb * hw_count) + hw in
         let prev = Option.value ~default:0.0 (Hashtbl.find_opt t.class_prices key) in
         if Float.abs d > prev then Hashtbl.replace t.class_prices key (Float.abs d)
-      | None -> (
-        match parse_capacity row_names.(i) with
-        | Some rid -> Hashtbl.replace t.capacity_prices rid d
-        | None -> ())
-    end
+      | None -> ()
   done;
   t
 
 let class_price t ~msb ~hw =
   Option.value ~default:0.0 (Hashtbl.find_opt t.class_prices ((msb * hw_count) + hw))
-
-let capacity_price t rid =
-  Option.value ~default:0.0 (Hashtbl.find_opt t.capacity_prices rid)
 
 type cached = {
   cstd : Model.std;

@@ -47,9 +47,9 @@ val pp_round : Format.formatter -> round_stats -> unit
     root-LP shadow prices keyed by the stable row names.  Supply-row duals
     aggregate to (msb, hardware-subtype) scope — the granularity of
     {!Ras.Reactive}'s availability pools — as the max |dual| over the
-    in_use/attr class variants; capacity-row duals key by reservation id.
-    Prices are advisory: they only steer {e which} equivalent repair is
-    picked, never whether a repair is valid. *)
+    in_use/attr class variants; no other row is priced.  Prices are
+    advisory: they only steer {e which} equivalent repair is picked, never
+    whether a repair is valid. *)
 
 type price_table = {
   price_round : int;  (** solve round the duals came from *)
@@ -57,21 +57,16 @@ type price_table = {
       (** [msb * Hardware.count + hw] -> max |supply-row dual|: the marginal
           value tier-2 put on one more server of that scope (0 = slack
           supply, cheap to take from) *)
-  capacity_prices : (int, float) Hashtbl.t;
-      (** reservation id -> capacity-row dual: how capacity-starved the
-          reservation was at the optimum *)
 }
 
 val price_table :
   ?round:int -> row_names:string array -> duals:float array -> unit -> price_table
 (** Parse a compiled model's row names against the root-LP duals
-    ({!Phases.result.lp_duals} order).  Unrecognized rows are skipped;
-    mismatched array lengths truncate to the shorter. *)
+    ({!Phases.result.lp_duals} order).  Rows other than supply rows are
+    skipped; mismatched array lengths truncate to the shorter. *)
 
 val class_price : price_table -> msb:int -> hw:int -> float
 (** 0 when the scope never appeared in a priced row. *)
-
-val capacity_price : price_table -> int -> float
 
 type t
 

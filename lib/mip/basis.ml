@@ -70,7 +70,6 @@ type t = {
   mutable updates : int;
   update_limit : int;
   mutable err : float;
-  mutable refactors : int;
   (* solve scratch owned by the factorization: the two svec results (FTRAN
      and BTRAN directions are separate so a pivot can hold both at once),
      position marks for the sparse eta passes, and the step-indexed scratch
@@ -134,7 +133,6 @@ let create knd ~m =
     updates = 0;
     update_limit = (match knd with Dense -> dense_update_limit | Lu -> lu_update_limit);
     err = 0.0;
-    refactors = 0;
     sf = Svec.make m;
     sb = Svec.make m;
     wmark = Array.make m (-1);
@@ -170,7 +168,6 @@ let reset_stats (t : t) =
   t.btran_calls <- 0;
   t.btran_nnz <- 0
 let updates_since_refactor t = t.updates
-let refactor_count t = t.refactors
 
 let eta_nnz t = match t.repr with Dense_r _ -> 0 | Lu_r lu -> lu.ennz
 
@@ -404,13 +401,20 @@ let lu_refactorize ?deficient m ~basis ~col =
   (* basis positions dropped as dependent (repair mode only) *)
   let kstep = ref 0 in
   let ncols_left = ref m in
+  (* the columns still active at the last scan, ascending: each scan drops
+     the ones eliminated since, so it visits O(active) columns, not m *)
+  let active = Array.init m Fun.id and nactive = ref m in
   while !ncols_left > 0 do
     (* --- pivot selection: best Markowitz cost among eligible entries of a
        few smallest-count active columns --- *)
     let cands = Array.make markowitz_cands (-1) in
     let ncand = ref 0 in
-    for c = 0 to m - 1 do
+    let live = ref 0 in
+    for u = 0 to !nactive - 1 do
+      let c = active.(u) in
       if col_active.(c) then begin
+        active.(!live) <- c;
+        incr live;
         (* insertion into the sorted candidate window by (possibly stale,
            hence over-estimated) column count *)
         let i = ref !ncand in
@@ -424,6 +428,7 @@ let lu_refactorize ?deficient m ~basis ~col =
         end
       end
     done;
+    nactive := !live;
     if !ncand = 0 then raise Singular;
     let best_r = ref (-1) and best_c = ref (-1) and best_v = ref 0.0 in
     let best_cost = ref max_int and best_mag = ref 0.0 in
@@ -601,8 +606,7 @@ let refactorize t ~basis ~col =
     (match t.repr with Dense_r d -> d.inv <- inv | Lu_r _ -> assert false)
   | Lu -> t.repr <- Lu_r (lu_refactorize t.m ~basis ~col));
   t.updates <- 0;
-  t.err <- 0.0;
-  t.refactors <- t.refactors + 1
+  t.err <- 0.0
 
 let refactorize_repaired t ~basis ~col =
   match t.knd with
@@ -616,7 +620,6 @@ let refactorize_repaired t ~basis ~col =
     t.repr <- Lu_r (lu_refactorize ~deficient:repairs t.m ~basis ~col);
     t.updates <- 0;
     t.err <- 0.0;
-    t.refactors <- t.refactors + 1;
     !repairs
 
 (* ------------------------------------------------------------------ *)
@@ -871,64 +874,6 @@ let ftran_dense t b =
     apply_etas lu x;
     x
 
-let ftran_col t rows coefs =
-  match t.repr with
-  | Dense_r d ->
-    let out = Array.make t.m 0.0 in
-    let ne = Array.length rows in
-    for i = 0 to t.m - 1 do
-      let bi = d.inv.(i) in
-      let acc = ref 0.0 in
-      for k = 0 to ne - 1 do
-        acc := !acc +. (bi.(rows.(k)) *. coefs.(k))
-      done;
-      out.(i) <- !acc
-    done;
-    out
-  | Lu_r lu ->
-    let x = Array.make t.m 0.0 in
-    for k = 0 to Array.length rows - 1 do
-      x.(rows.(k)) <- x.(rows.(k)) +. coefs.(k)
-    done;
-    lu_solve lu t.m t.wd x;
-    apply_etas lu x;
-    x
-
-let ftran_unit t r =
-  match t.repr with
-  | Dense_r d ->
-    let out = Array.make t.m 0.0 in
-    for i = 0 to t.m - 1 do
-      out.(i) <- d.inv.(i).(r)
-    done;
-    out
-  | Lu_r lu ->
-    let x = Array.make t.m 0.0 in
-    x.(r) <- 1.0;
-    lu_solve lu t.m t.wd x;
-    apply_etas lu x;
-    x
-
-let btran_dense t c =
-  match t.repr with
-  | Dense_r d ->
-    let y = Array.make t.m 0.0 in
-    for i = 0 to t.m - 1 do
-      let ci = c.(i) in
-      if ci <> 0.0 then begin
-        let bi = d.inv.(i) in
-        for k = 0 to t.m - 1 do
-          y.(k) <- y.(k) +. (ci *. bi.(k))
-        done
-      end
-    done;
-    y
-  | Lu_r lu ->
-    let y = Array.copy c in
-    apply_etas_t lu y;
-    lu_solve_t lu t.m t.wd y;
-    y
-
 let btran_dense_into t c y =
   match t.repr with
   | Dense_r d ->
@@ -946,16 +891,6 @@ let btran_dense_into t c y =
     Array.blit c 0 y 0 t.m;
     apply_etas_t lu y;
     lu_solve_t lu t.m t.wd y
-
-let row_of_inverse t r =
-  match t.repr with
-  | Dense_r d -> Array.copy d.inv.(r)
-  | Lu_r lu ->
-    let y = Array.make t.m 0.0 in
-    y.(r) <- 1.0;
-    apply_etas_t lu y;
-    lu_solve_t lu t.m t.wd y;
-    y
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-result solves (the simplex hot path)                         *)
@@ -1059,54 +994,10 @@ let btran_unit_sparse t r =
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)
 
-let update t ~alpha ~row =
-  let m = t.m in
-  let piv = alpha.(row) in
-  let apiv = Float.abs piv in
-  let amax = ref 0.0 in
-  for i = 0 to m - 1 do
-    let a = Float.abs alpha.(i) in
-    if a > !amax then amax := a
-  done;
-  if apiv < pivot_abs_min || apiv < pivot_rel_min *. !amax then false
-  else if t.updates >= t.update_limit then false
-  else begin
-    (match t.repr with
-    | Dense_r d -> dense_update m d ~alpha ~row
-    | Lu_r lu ->
-      let nnz = ref 0 in
-      for i = 0 to m - 1 do
-        if i <> row && alpha.(i) <> 0.0 then incr nnz
-      done;
-      let rs = Array.make !nnz 0 and vs = Array.make !nnz 0.0 in
-      let p = ref 0 in
-      for i = 0 to m - 1 do
-        if i <> row && alpha.(i) <> 0.0 then begin
-          rs.(!p) <- i;
-          vs.(!p) <- alpha.(i);
-          incr p
-        end
-      done;
-      if lu.neta = Array.length lu.etas then begin
-        let cap = Stdlib.max 8 (2 * lu.neta) in
-        let bigger =
-          Array.make cap { er = 0; epiv = 1.0; erows = [||]; evals = [||] }
-        in
-        Array.blit lu.etas 0 bigger 0 lu.neta;
-        lu.etas <- bigger
-      end;
-      lu.etas.(lu.neta) <- { er = row; epiv = piv; erows = rs; evals = vs };
-      lu.neta <- lu.neta + 1;
-      lu.ennz <- lu.ennz + !nnz + 1);
-    t.updates <- t.updates + 1;
-    t.err <- t.err +. (1e-16 *. (!amax /. apiv));
-    true
-  end
-
-(* {!update} on a sparse alpha: the stability guards and the eta are derived
-   from the pattern alone (svec patterns carry no exact zeros, so the
-   resulting eta is identical to the dense scan's).  The {!Dense} backend
-   reads the svec's dense backing store directly. *)
+(* Record the pivot that replaces basis position [row], given the entering
+   column's FTRAN alpha in sparse form.  The stability guards and the eta
+   are derived from the pattern alone (svec patterns carry no exact zeros).
+   The {!Dense} backend reads the svec's dense backing store directly. *)
 let update_sparse t ~(alpha : Svec.t) ~row =
   let piv = alpha.Svec.vals.(row) in
   let apiv = Float.abs piv in

@@ -14,15 +14,20 @@
       ([bench/kernels.ml] eta-vs-dense rows).
 
     Both representations answer the same queries, so {!Simplex} is written
-    against this module only and the backend is a solver option.
+    against this module only and the backend is a solver option.  The
+    solves are exactly the ones the simplex runs: two dense ones
+    ({!ftran_dense} for the basic values, {!btran_dense_into} for the
+    phase-1 duals) and the sparse-result ones of each pivot
+    ({!ftran_col_sparse}, {!ftran_unit_sparse}, {!btran_unit_sparse},
+    {!update_sparse}).
 
-    A factorization goes stale in two ways, and {!update} /
+    A factorization goes stale in two ways, and {!update_sparse} /
     {!should_refactorize} encode the refactorization policy:
     - the update chain grows past its budget (eta file length for {!Lu},
       update count for {!Dense}), or the accumulated error estimate from
       small pivots crosses a threshold — {!should_refactorize} turns true;
     - a single proposed pivot element is too small to apply stably —
-      {!update} refuses (returns [false]) without touching the
+      {!update_sparse} refuses (returns [false]) without touching the
       factorization, and the caller must refactorize from the new basis
       instead of dividing by a near-zero. *)
 
@@ -81,54 +86,35 @@ val refactorize_repaired :
     whole warm start.  The {!Dense} backend takes the strict path and
     raises {!Singular}. *)
 
-val ftran_col : t -> int array -> float array -> float array
-(** [ftran_col t rows coefs] returns B⁻¹a for the sparse column a given by
-    parallel [rows]/[coefs] arrays (the simplex entering column). *)
-
-val ftran_unit : t -> int -> float array
-(** [ftran_unit t r] is {!ftran_col} on the unit column e_r (slack
-    columns). *)
-
 val ftran_dense : t -> float array -> float array
 (** [ftran_dense t b] returns B⁻¹b for a dense right-hand side [b] indexed
     by constraint row; the result is indexed by basis position (used to
     recompute the basic-variable values). *)
 
-val btran_dense : t -> float array -> float array
-(** [btran_dense t c] returns B⁻ᵀc: the simplex multipliers y solving
-    yᵀB = cᵀ for a cost vector [c] indexed by basis position.  The result
-    is indexed by constraint row. *)
-
 val btran_dense_into : t -> float array -> float array -> unit
-(** [btran_dense_into t c y] is {!btran_dense} storing its result into the
-    caller buffer [y] (length m, fully overwritten) instead of allocating;
-    [c] and [y] must not alias.  The simplex phase-1 dual recompute runs
-    every iteration, and this keeps it allocation-free. *)
-
-val row_of_inverse : t -> int -> float array
-(** [row_of_inverse t r] is row [r] of B⁻¹ (equivalently B⁻ᵀe_r): the
-    vector behind the dual-simplex pivot row and the incremental dual
-    update. *)
+(** [btran_dense_into t c y] stores B⁻ᵀc into the caller buffer [y]
+    (length m, fully overwritten): the simplex multipliers y solving
+    yᵀB = cᵀ for a cost vector [c] indexed by basis position, indexed by
+    constraint row.  [c] and [y] must not alias.  The simplex phase-1 dual
+    recompute runs every iteration, and writing into a caller buffer keeps
+    it allocation-free. *)
 
 val ftran_col_sparse : t -> int array -> float array -> off:int -> len:int -> Svec.t
-(** [ftran_col_sparse t ind val_ ~off ~len] is {!ftran_col} on the packed
-    column slice [ind]/[val_].[off .. off+len-1], returned as a sparse
-    vector (see {!Svec} for the ownership rule).  The triangular passes
-    walk every elimination step but skip the factor column of each zero
-    step, and the eta file is applied over the result's pattern only. *)
+(** [ftran_col_sparse t ind val_ ~off ~len] returns B⁻¹a for the packed
+    sparse column a = [ind]/[val_].[off .. off+len-1] (the simplex entering
+    column), as a sparse vector indexed by basis position (see {!Svec} for
+    the ownership rule).  The triangular passes walk every elimination
+    step but skip the factor column of each zero step, and the eta file is
+    applied over the result's pattern only. *)
 
 val ftran_unit_sparse : t -> int -> Svec.t
 (** {!ftran_col_sparse} on the unit column e_r (slack columns). *)
 
 val btran_unit_sparse : t -> int -> Svec.t
-(** Sparse {!row_of_inverse}: row [r] of B⁻¹ as a sparse row-indexed
-    vector, in the factorization's BTRAN svec (separate from the FTRAN
-    svec, so a pivot may hold both at once). *)
-
-val update_sparse : t -> alpha:Svec.t -> row:int -> bool
-(** {!update} taking the FTRAN result in sparse form: the eta (and the
-    stability guards) are built from the pattern without scanning the full
-    column. *)
+(** Row [r] of B⁻¹ (equivalently B⁻ᵀe_r: the dual-simplex pivot row and
+    the incremental dual update) as a sparse row-indexed vector, in the
+    factorization's BTRAN svec (separate from the FTRAN svec, so a pivot
+    may hold both at once). *)
 
 type solve_stats = {
   ftran_calls : int;
@@ -142,15 +128,17 @@ type solve_stats = {
 val solve_stats : t -> solve_stats
 val reset_stats : t -> unit
 
-val update : t -> alpha:float array -> row:int -> bool
-(** [update t ~alpha ~row] records the basis change that replaces the
-    column in basis position [row], where [alpha] = B⁻¹a_q is the FTRAN of
-    the entering column (so [alpha.(row)] is the pivot element).  Returns
-    [false] — leaving the factorization unchanged — when the pivot element
-    is too small in absolute or relative terms to apply stably; the caller
-    must then {!refactorize} from the updated basis.  For {!Lu} a
-    successful update appends one eta to the product-form file; for
-    {!Dense} it performs the Gauss–Jordan rank-one update of the inverse. *)
+val update_sparse : t -> alpha:Svec.t -> row:int -> bool
+(** [update_sparse t ~alpha ~row] records the basis change that replaces
+    the column in basis position [row], where [alpha] = B⁻¹a_q is the
+    sparse FTRAN of the entering column (so [alpha]'s value at [row] is the
+    pivot element).  Returns [false] — leaving the factorization unchanged
+    — when the pivot element is too small in absolute or relative terms to
+    apply stably, or the update budget is spent; the caller must then
+    {!refactorize} from the updated basis.  For {!Lu} a successful update
+    appends one eta, built from [alpha]'s pattern, to the product-form
+    file; for {!Dense} it performs the Gauss–Jordan rank-one update of the
+    inverse. *)
 
 val should_refactorize : t -> bool
 (** The update chain has exhausted its budget (eta-file length, dense
@@ -162,8 +150,6 @@ val updates_since_refactor : t -> int
 val eta_nnz : t -> int
 (** Total nonzeros in the eta file (0 for {!Dense}): the memory and
     per-solve cost of the update chain, exposed for stats and tests. *)
-
-val refactor_count : t -> int
 
 val copy : t -> t
 (** Deep copy; the copy can be mutated independently. *)

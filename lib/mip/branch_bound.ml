@@ -391,63 +391,17 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
 (* Project a caller-supplied root basis of the {e original} model onto the
    presolved one: variables keep their indices (presolve preserves them),
    slack columns are renumbered to the surviving rows, and basis positions
-   of dropped rows vanish.  Rows whose carried column disappeared get a free
-   slack; any resulting rank deficiency is the simplex's repairing
-   refactorization's problem.  [None] when the variable spaces disagree. *)
+   of dropped rows vanish.  The factorization belongs to the unprojected
+   column space and is never carried.  [None] when the shapes disagree. *)
 let project_root_basis ~kept_rows (reduced : Model.std) (wb : Simplex.warm_basis) =
-  let nvars = reduced.Model.nvars and m = reduced.Model.nrows in
+  let nvars = reduced.Model.nvars and nrows = reduced.Model.nrows in
   let old_m = Array.length wb.Simplex.wcols in
-  let old_nvars = Array.length wb.Simplex.wstatus - old_m in
-  if old_nvars <> nvars || Array.length kept_rows <> m then None
+  if Array.length wb.Simplex.wstatus - old_m <> nvars || Array.length kept_rows <> nrows then None
   else begin
-    let slack_map = Array.make old_m (-1) in
-    Array.iteri (fun newi oldi -> slack_map.(oldi) <- newi) kept_rows;
-    let remap c =
-      if c < nvars then c
-      else
-        let r = slack_map.(c - nvars) in
-        if r < 0 then -1 else nvars + r
-    in
-    let ntotal = nvars + m in
-    let used = Array.make ntotal false in
-    let wcols = Array.make m (-1) in
-    Array.iteri
-      (fun newi oldi ->
-        let c = remap wb.Simplex.wcols.(oldi) in
-        if c >= 0 && not used.(c) then begin
-          wcols.(newi) <- c;
-          used.(c) <- true
-        end)
-      kept_rows;
-    let next_free = ref 0 in
-    for i = 0 to m - 1 do
-      if wcols.(i) < 0 then begin
-        let own = nvars + i in
-        let c =
-          if not used.(own) then own
-          else begin
-            while used.(nvars + !next_free) do
-              incr next_free
-            done;
-            nvars + !next_free
-          end
-        in
-        wcols.(i) <- c;
-        used.(c) <- true
-      end
-    done;
-    let wstatus = Array.make ntotal Simplex.At_lower in
-    Array.blit wb.Simplex.wstatus 0 wstatus 0 nvars;
-    Array.iteri
-      (fun newi oldi -> wstatus.(nvars + newi) <- wb.Simplex.wstatus.(old_nvars + oldi))
-      kept_rows;
-    for j = 0 to ntotal - 1 do
-      if used.(j) then wstatus.(j) <- Simplex.Basic
-      else if wstatus.(j) = Simplex.Basic then wstatus.(j) <- Simplex.At_lower
-    done;
-    (* the factorization belongs to the unprojected basis / column space;
-       never carry it *)
-    Some { Simplex.wcols; wstatus; wfac = None }
+    (* structurals keep their index; a kept row's slack follows its row *)
+    let col_map = Array.init (nvars + old_m) (fun c -> if c < nvars then c else -1) in
+    Array.iteri (fun newi oldi -> col_map.(nvars + oldi) <- nvars + newi) kept_rows;
+    Some (fst (Simplex.remap_basis ~nvars ~nrows ~col_map ~row_src:kept_rows wb))
   end
 
 let solve ?(options = default_options) (std : Model.std) =

@@ -47,12 +47,17 @@ type options = {
           otherwise rejected.  The outcome's [seed] field reports which
           happened; a stale seed never raises. *)
   root_basis : Simplex.warm_basis option;
-      (** warm basis for the {e root} node's LP — typically the optimal
-          basis of a relaxation the caller already solved (the phase-1
-          root LP, or last round's root via {!Incremental.map_basis}).
-          Advisory: the simplex validates it and falls back to a cold
-          root solve on any mismatch.  Child nodes are unaffected (they
-          warm-start from their parent as controlled by [warm_start]). *)
+      (** warm basis for the {e root} node's LP, over the model passed to
+          {!solve} — typically the optimal basis of a relaxation the
+          caller already solved (the phase-1 root LP, or last round's root
+          via {!Incremental.map_basis}).  It is projected onto the
+          presolved model with {!Simplex.remap_basis} (variables keep
+          their index, slacks follow the surviving rows); its
+          factorization is never carried, so the root refactorizes.  A
+          basis of another variable count is dropped.  Advisory: the
+          simplex validates it and falls back to a cold root solve on any
+          mismatch.  Child nodes are unaffected (they warm-start from
+          their parent as controlled by [warm_start]). *)
   warm_start : bool;
       (** restart child LPs from the parent's optimal basis; disable to get
           the cold-start behaviour (equivalence testing, benchmarking) *)

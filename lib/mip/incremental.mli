@@ -4,13 +4,11 @@
     nearly the same region as the last one, perturbed by a handful of
     failures, recoveries and capacity deltas.  This module turns that
     continuity into solver work saved.  Given the previous round's compiled
-    {!Model.std} and the new round's, it computes a {e name-keyed} diff
-    (variables and rows are matched by their stable names, so index churn
-    from entities appearing or disappearing produces minimal diffs), and
-    from the diff derives:
+    {!Model.std} and the new round's, it matches variables and rows by
+    their stable names (so index churn from entities appearing or
+    disappearing produces minimal diffs), counts what changed ({!stats}),
+    and from the matching derives:
 
-    - a patched model ({!apply}) bit-identical to the fresh compile — the
-      correctness contract the property tests pin;
     - a mapped warm basis ({!map_basis}): surviving basic columns stay
       basic in their surviving rows, new columns enter nonbasic at a bound,
       and rows whose basic column departed are repaired with their own
@@ -46,17 +44,13 @@ type t
 (** A diff from a [prev] model to a [next] model, keyed by variable and row
     names.  Entities with equal names are matched (duplicate names within
     one model are disambiguated by occurrence order); everything else is an
-    addition or removal. *)
+    addition or removal.  It holds the matching both ways, the {!stats}
+    counters and [next]'s variable bounds (shared, not copied) — not a
+    patch: [next] itself is the only copy of the new model. *)
 
 val diff : prev:Model.std -> next:Model.std -> t
 
 val stats : t -> stats
-
-val apply : prev:Model.std -> t -> Model.std
-(** Reconstructs [next] from [prev] plus the diff.  The result is
-    bit-identical to the [next] passed to {!diff} — same arrays in the same
-    order — which the property tests verify over randomized churn
-    sequences. *)
 
 val map_basis :
   t -> prev_basis:Simplex.warm_basis -> (Simplex.warm_basis * int) option
@@ -64,7 +58,8 @@ val map_basis :
     mapped basis and the number of rows whose basic column was carried over
     (the basis-reuse count; the remainder were repaired with their row's
     slack).  [None] when the snapshot does not structurally match [prev]
-    (wrong dimensions) — the caller falls back to a cold start.
+    (wrong dimensions) — the caller falls back to a cold start.  The
+    re-indexing is {!Simplex.remap_basis} over the name matching.
 
     The basis factorization is carried only when the diff leaves the basis
     matrix untouched ([structure_identical] and no coefficient changes);

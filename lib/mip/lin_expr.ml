@@ -20,8 +20,6 @@ let scale k e =
 
 let sub a b = add a (scale (-1.0) b)
 
-let add_term e c v = { e with terms = (c, v) :: e.terms }
-
 let of_terms ?(constant = 0.0) terms = { terms; const = constant }
 
 let get_constant e = e.const

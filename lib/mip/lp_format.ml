@@ -73,5 +73,3 @@ let to_string std =
   let buf = Buffer.create 4096 in
   to_buffer buf std;
   Buffer.contents buf
-
-let to_channel oc std = output_string oc (to_string std)

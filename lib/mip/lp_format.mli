@@ -9,5 +9,3 @@ val to_string : Model.std -> string
     [General] (integer variables) and [End] sections.  The constant
     objective offset has no LP-format representation and is not emitted;
     {!Lp_parse} round trips everything else. *)
-
-val to_channel : out_channel -> Model.std -> unit

@@ -51,13 +51,8 @@ val add_max_over : ?name:string -> t -> weight:float -> Lin_expr.t list -> var
     the capacity constraint this way).  Returns the auxiliary variable. *)
 
 val num_vars : t -> int
-val num_constraints : t -> int
-val var_name : t -> var -> string
-val var_kind : t -> var -> kind
 val var_bounds : t -> var -> float * float
-val set_var_bounds : t -> var -> lb:float -> ub:float -> unit
 val objective : t -> Lin_expr.t
-val objective_offset : t -> float
 
 (** Compiled standard form: minimize [obj . x] subject to sparse rows
     [row sense rhs] and variable bounds.  Produced once; solvers treat it as

@@ -771,6 +771,55 @@ let try_warm st (wb : warm_basis) =
     end
   end
 
+(* Re-index a basis onto another row/column space (a cross-round model, a
+   presolved one).  Two passes: first every surviving basic column goes to
+   its surviving row — a carried column can be the slack of a different new
+   row, so repairs must wait until all carries are known or they could
+   collide with one — then rows left empty get their own slack when free,
+   else the first free slack.  The result is duplicate-free; a foreign-
+   slack repair can make it singular, which [try_warm] detects.  Surviving
+   nonbasic columns keep their resting bound (the restart re-normalizes it
+   against the new bounds); everything else rests at its lower bound. *)
+let remap_basis ~nvars ~nrows ~col_map ~row_src (wb : warm_basis) =
+  let ntotal = nvars + nrows in
+  let wstatus = Array.make ntotal At_lower in
+  Array.iteri
+    (fun c d ->
+      if d >= 0 then match wb.wstatus.(c) with Basic -> () | s -> wstatus.(d) <- s)
+    col_map;
+  let wcols = Array.make nrows (-1) in
+  let used = Array.make ntotal false in
+  let carried = ref 0 in
+  for i = 0 to nrows - 1 do
+    let src = row_src.(i) in
+    let old = if src < 0 then -1 else wb.wcols.(src) in
+    let c = if old < 0 || old >= Array.length col_map then -1 else col_map.(old) in
+    if c >= 0 && not used.(c) then begin
+      wcols.(i) <- c;
+      used.(c) <- true;
+      incr carried
+    end
+  done;
+  let next_free = ref 0 in
+  for i = 0 to nrows - 1 do
+    if wcols.(i) < 0 then begin
+      let own = nvars + i in
+      let c =
+        if not used.(own) then own
+        else begin
+          while used.(nvars + !next_free) do
+            incr next_free
+          done;
+          nvars + !next_free
+        end
+      in
+      wcols.(i) <- c;
+      used.(c) <- true
+    end
+  done;
+  Array.iter (fun c -> wstatus.(c) <- Basic) wcols;
+  ({ wcols; wstatus; wfac = None }, !carried)
+
 (* Reusable per-solve scratch: every O(m)/O(ntotal) array a solve needs, so
    a caller that solves many same-shaped LPs (the branch-and-bound node
    loop) allocates them once instead of per solve.  The basis factorization

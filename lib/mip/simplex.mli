@@ -76,6 +76,30 @@ type warm_basis = {
     on any mismatch, so a stale snapshot degrades performance, not
     correctness. *)
 
+val remap_basis :
+  nvars:int ->
+  nrows:int ->
+  col_map:int array ->
+  row_src:int array ->
+  warm_basis ->
+  warm_basis * int
+(** [remap_basis ~nvars ~nrows ~col_map ~row_src wb] re-indexes [wb] onto a
+    model with [nvars] structural columns and [nrows] rows.  [col_map.(c)]
+    is the new column of [wb]'s column [c] (structural or slack; length =
+    [wb]'s column count), or [-1] when it departed; [row_src.(i)] is the
+    row of [wb] that new row [i] comes from, or [-1] for a new row.
+
+    Every new row whose source row's basic column survives keeps that
+    column (the first claimant wins); the remaining rows are repaired with
+    their own slack when it is free, else the lowest free slack.
+    Surviving nonbasic columns keep their resting bound; all other
+    nonbasic columns rest at their lower bound.  Returns the re-indexed
+    basis, {e without} a factorization ([wfac = None]), and the number of
+    rows whose basic column was carried.  The caller checks that [wb] has
+    the shape the maps describe.  The cross-round mapping
+    ({!Incremental.map_basis}) and the presolve projection of a
+    branch-and-bound root basis both run through this function. *)
+
 type kernel_stats = {
   avg_ftran_nnz : float;
       (** Mean nonzeros per sparse FTRAN result over the whole solve.  The

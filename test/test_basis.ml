@@ -1,7 +1,8 @@
-(* Numerical-stability tests for the factorized basis (Ras_mip.Basis):
-   FTRAN/BTRAN round trips through the LU factors and the eta file,
-   refactorization policy triggers, rejection of near-singular pivots, and
-   Dense-vs-Lu backend agreement on random matrices. *)
+(* Numerical-stability tests for the factorized basis (Ras_mip.Basis),
+   through the entry points the simplex runs: FTRAN/BTRAN round trips
+   through the LU factors and the eta file, refactorization policy
+   triggers, rejection of near-singular pivots, and Dense-vs-Lu backend
+   agreement on random matrices. *)
 
 open Ras_mip
 module R = Ras_stats.Rng
@@ -50,6 +51,31 @@ let refactorized kind rng m =
   Basis.refactorize t ~basis ~col:(col_fn cols);
   (t, cols, basis)
 
+(* B^-T c through the caller-buffer entry point *)
+let btran t c =
+  let y = Array.make (Array.length c) 0.0 in
+  Basis.btran_dense_into t c y;
+  y
+
+(* a dense alpha as the sparse vector update_sparse consumes *)
+let svec_of a =
+  let s = Basis.Svec.make (Array.length a) in
+  Array.iteri
+    (fun i v ->
+      if v <> 0.0 then begin
+        s.Basis.Svec.vals.(i) <- v;
+        s.Basis.Svec.idx.(s.Basis.Svec.n) <- i;
+        s.Basis.Svec.n <- s.Basis.Svec.n + 1
+      end)
+    a;
+  s
+
+let scale_svec k (s : Basis.Svec.t) =
+  for u = 0 to s.Basis.Svec.n - 1 do
+    let i = s.Basis.Svec.idx.(u) in
+    s.Basis.Svec.vals.(i) <- k *. s.Basis.Svec.vals.(i)
+  done
+
 let max_abs_diff a b =
   let worst = ref 0.0 in
   Array.iteri (fun i v -> worst := Float.max !worst (Float.abs (v -. b.(i)))) a;
@@ -75,7 +101,7 @@ let test_btran_round_trip () =
     (fun m ->
       let t, cols, basis = refactorized Basis.Lu rng m in
       let c = Array.init m (fun _ -> R.float rng 10.0 -. 5.0) in
-      let y = Basis.btran_dense t (Array.copy c) in
+      let y = btran t c in
       (* y^T B = c^T: component i is y . A_{basis.(i)} *)
       let back =
         Array.map (fun j -> List.fold_left (fun acc (i, v) -> acc +. (y.(i) *. v)) 0.0 cols.(j)) basis
@@ -95,14 +121,15 @@ let test_ftran_btran_adjoint () =
   (* push a few eta updates through *)
   for k = 0 to 4 do
     let col = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
-    let alpha = Basis.ftran_dense t (Array.copy col) in
+    let alpha = Basis.ftran_col_sparse t (Array.init m Fun.id) col ~off:0 ~len:m in
     let row = k mod m in
-    if Float.abs alpha.(row) > 1e-6 then ignore (Basis.update t ~alpha ~row)
+    if Float.abs alpha.Basis.Svec.vals.(row) > 1e-6 then
+      ignore (Basis.update_sparse t ~alpha ~row)
   done;
   let b = Array.init m (fun _ -> R.float rng 4.0 -. 2.0) in
   let c = Array.init m (fun _ -> R.float rng 4.0 -. 2.0) in
   let x = Basis.ftran_dense t (Array.copy b) in
-  let y = Basis.btran_dense t (Array.copy c) in
+  let y = btran t c in
   let lhs = ref 0.0 and rhs = ref 0.0 in
   for i = 0 to m - 1 do
     lhs := !lhs +. (c.(i) *. x.(i));
@@ -121,9 +148,9 @@ let test_eta_limit_triggers_refactorize () =
        against the current factors scaled on that row, always an acceptable
        pivot *)
     let row = !k mod m in
-    let alpha = Basis.ftran_unit t row in
-    Array.iteri (fun i v -> alpha.(i) <- 2.0 *. v) alpha;
-    Alcotest.(check bool) "update accepted" true (Basis.update t ~alpha ~row);
+    let alpha = Basis.ftran_unit_sparse t row in
+    scale_svec 2.0 alpha;
+    Alcotest.(check bool) "update accepted" true (Basis.update_sparse t ~alpha ~row);
     incr k;
     if Basis.should_refactorize t then fired := !k
   done;
@@ -144,12 +171,14 @@ let test_near_singular_pivot_refused () =
   (* absolute test: pivot element ~1e-12 *)
   let alpha = Array.make m 0.1 in
   alpha.(3) <- 1e-12;
-  Alcotest.(check bool) "tiny pivot refused" false (Basis.update t ~alpha ~row:3);
+  Alcotest.(check bool) "tiny pivot refused" false
+    (Basis.update_sparse t ~alpha:(svec_of alpha) ~row:3);
   (* relative test: pivot 1.0 dwarfed by a 1e9 entry elsewhere *)
   let alpha = Array.make m 0.0 in
   alpha.(3) <- 1.0;
   alpha.(7) <- 1e9;
-  Alcotest.(check bool) "relatively tiny pivot refused" false (Basis.update t ~alpha ~row:3);
+  Alcotest.(check bool) "relatively tiny pivot refused" false
+    (Basis.update_sparse t ~alpha:(svec_of alpha) ~row:3);
   (* the refused updates left the factorization untouched *)
   Alcotest.(check int) "no update recorded" before_updates (Basis.updates_since_refactor t);
   let x_after = Basis.ftran_dense t (Array.copy probe) in
@@ -186,8 +215,8 @@ let test_dense_lu_agree () =
       (Printf.sprintf "ftran agrees at m=%d (err %g)" m (max_abs_diff xl xd))
       true
       (max_abs_diff xl xd < 1e-8);
-    let yl = Basis.btran_dense lu (Array.copy b) in
-    let yd = Basis.btran_dense dn (Array.copy b) in
+    let yl = btran lu b in
+    let yd = btran dn b in
     Alcotest.(check bool)
       (Printf.sprintf "btran agrees at m=%d (err %g)" m (max_abs_diff yl yd))
       true
@@ -202,9 +231,9 @@ let test_copy_is_independent () =
   let x_before = Basis.ftran_dense t (Array.copy probe) in
   let snap = Basis.copy t in
   (* mutate the copy with an eta update *)
-  let alpha = Basis.ftran_unit snap 2 in
-  Array.iteri (fun i v -> alpha.(i) <- 3.0 *. v) alpha;
-  Alcotest.(check bool) "update on copy ok" true (Basis.update snap ~alpha ~row:2);
+  let alpha = Basis.ftran_unit_sparse snap 2 in
+  scale_svec 3.0 alpha;
+  Alcotest.(check bool) "update on copy ok" true (Basis.update_sparse snap ~alpha ~row:2);
   (* the original is untouched *)
   Alcotest.(check int) "original update count" 0 (Basis.updates_since_refactor t);
   let x_after = Basis.ftran_dense t (Array.copy probe) in

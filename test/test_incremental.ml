@@ -1,9 +1,11 @@
 (* Cross-round incremental re-solve: the correctness contracts behind the
    continuous-loop perf numbers.
 
-   - apply-diff bit-identity: reconstructing [next] from [prev] plus the
-     name-keyed diff gives exactly the freshly compiled model, over
-     randomized churn (variables and rows added, removed and perturbed);
+   - diff counters: every [Incremental.stats] counter equals a recount by
+     name over the two compiled models, over randomized churn (variables
+     and rows added, removed and perturbed);
+   - basis remapping: the identity map returns its input, and a presolve
+     projection keeps every carried basic column and restarts warm;
    - incremental-vs-cold equivalence: re-solving with a mapped warm basis
      (LP chains) or a mapped basis + patched seed (B&B chains) reaches the
      same objective as a cold solve — the warm path is a pure perf change;
@@ -23,6 +25,7 @@ module Lin_expr = Ras_mip.Lin_expr
 module Simplex = Ras_mip.Simplex
 module Incremental = Ras_mip.Incremental
 module Branch_bound = Ras_mip.Branch_bound
+module Presolve = Ras_mip.Presolve
 
 (* ---------- randomized named-model worlds ---------- *)
 
@@ -165,38 +168,78 @@ let compile_world w =
           w.vs));
   Model.compile m
 
-(* ---------- bit-identity of apply ---------- *)
+(* ---------- diff counters, derived by name ---------- *)
 
-let std_equal (a : Model.std) (b : Model.std) =
-  a.Model.nvars = b.Model.nvars && a.Model.nrows = b.Model.nrows
-  && a.Model.obj = b.Model.obj
-  && a.Model.obj_offset = b.Model.obj_offset
-  && a.Model.lb = b.Model.lb && a.Model.ub = b.Model.ub
-  && a.Model.integer = b.Model.integer
-  && a.Model.row_sense = b.Model.row_sense
-  && a.Model.rhs = b.Model.rhs
-  && a.Model.col_ptr = b.Model.col_ptr
-  && a.Model.col_ind = b.Model.col_ind
-  && a.Model.col_val = b.Model.col_val
-  && a.Model.row_cols = b.Model.row_cols
-  && a.Model.row_coefs = b.Model.row_coefs
-  && a.Model.var_names = b.Model.var_names
-  && a.Model.row_names = b.Model.row_names
+(* name -> index in one compiled model (the worlds' names are unique) *)
+let index_of names =
+  let h = Hashtbl.create 16 in
+  Array.iteri (fun i n -> Hashtbl.replace h n i) names;
+  h
 
-let prop_apply_bit_identity =
-  QCheck.Test.make ~name:"apply(prev, diff) is bit-identical to next" ~count:200
-    QCheck.int (fun seed ->
+(* row [i]'s (variable name, coefficient) pairs sorted by name, keeping the
+   variables [keep] accepts *)
+let row_terms (std : Model.std) keep i =
+  Array.to_list std.Model.row_cols.(i)
+  |> List.mapi (fun k c -> (std.Model.var_names.(c), std.Model.row_coefs.(i).(k)))
+  |> List.filter (fun (n, _) -> keep n)
+  |> List.sort compare
+
+(* Every counter of [Incremental.stats], recomputed from the two models by
+   name alone: an entity is added/removed when its name is missing on the
+   other side, and a surviving one changed when its values under that name
+   differ.  A row's coefficients changed when its terms over the variables
+   that survive differ (dropping a removed variable is not a change). *)
+let expected_stats (prev : Model.std) (next : Model.std) =
+  let pv = index_of prev.Model.var_names and nv = index_of next.Model.var_names in
+  let pr = index_of prev.Model.row_names and nr = index_of next.Model.row_names in
+  let count names p =
+    let k = ref 0 in
+    Array.iteri (fun i n -> if p i n then incr k) names;
+    !k
+  in
+  let missing h _ n = not (Hashtbl.mem h n) in
+  let changed h f i n = match Hashtbl.find_opt h n with Some s -> f s i | None -> false in
+  {
+    Incremental.vars_added = count next.Model.var_names (missing pv);
+    vars_removed = count prev.Model.var_names (missing nv);
+    rows_added = count next.Model.row_names (missing pr);
+    rows_removed = count prev.Model.row_names (missing nr);
+    bounds_changed =
+      count next.Model.var_names
+        (changed pv (fun s j ->
+             prev.Model.lb.(s) <> next.Model.lb.(j) || prev.Model.ub.(s) <> next.Model.ub.(j)));
+    obj_changed =
+      count next.Model.var_names (changed pv (fun s j -> prev.Model.obj.(s) <> next.Model.obj.(j)))
+      + if prev.Model.obj_offset <> next.Model.obj_offset then 1 else 0;
+    rhs_changed =
+      count next.Model.row_names
+        (changed pr (fun s i ->
+             prev.Model.rhs.(s) <> next.Model.rhs.(i)
+             || prev.Model.row_sense.(s) <> next.Model.row_sense.(i)));
+    coefs_changed =
+      count next.Model.row_names
+        (changed pr (fun s i ->
+             row_terms prev (Hashtbl.mem nv) s <> row_terms next (fun _ -> true) i));
+    structure_identical =
+      prev.Model.var_names = next.Model.var_names && prev.Model.row_names = next.Model.row_names;
+  }
+
+let prop_diff_stats_by_name =
+  QCheck.Test.make ~name:"diff counters match a by-name recount" ~count:200 QCheck.int
+    (fun seed ->
       let rng = Ras_stats.Rng.create seed in
       let w = ref (random_world rng) in
-      let ok = ref true in
       for _ = 1 to 3 do
         let prev = compile_world !w in
         w := churn rng !w;
         let next = compile_world !w in
-        let d = Incremental.diff ~prev ~next in
-        ok := !ok && std_equal (Incremental.apply ~prev d) next
+        let got = Incremental.stats (Incremental.diff ~prev ~next) in
+        let want = expected_stats prev next in
+        if got <> want then
+          QCheck.Test.fail_reportf "diff {%a} but by name {%a}" Incremental.pp_stats got
+            Incremental.pp_stats want
       done;
-      !ok)
+      true)
 
 let prop_diff_self_empty =
   QCheck.Test.make ~name:"diff(model, model) reports zero changes" ~count:50
@@ -206,6 +249,84 @@ let prop_diff_self_empty =
       let d = Incremental.diff ~prev:std ~next:std in
       let s = Incremental.stats d in
       Incremental.total_changes s = 0 && s.Incremental.structure_identical)
+
+(* ---------- basis remapping ---------- *)
+
+(* max 3x + 2y + z over two coupling rows and a third that survives
+   presolve, plus the singleton rows x <= 10 and z <= 7 that presolve folds
+   into bounds and drops *)
+let singleton_lp () =
+  let m = Model.create () in
+  let x = Model.add_var ~name:"x" m in
+  let y = Model.add_var ~name:"y" m in
+  let z = Model.add_var ~name:"z" m in
+  let row name terms sense rhs =
+    ignore (Model.add_constraint ~name m (Lin_expr.of_terms terms) sense rhs)
+  in
+  row "r0" [ (1.0, x); (1.0, y); (1.0, z) ] Model.Le 4.0;
+  row "r1" [ (1.0, x); (3.0, y) ] Model.Le 6.0;
+  row "sx" [ (1.0, x) ] Model.Le 10.0;
+  row "r3" [ (1.0, y); (2.0, z) ] Model.Le 5.0;
+  row "sz" [ (1.0, z) ] Model.Le 7.0;
+  Model.set_objective m (Lin_expr.of_terms [ (-3.0, x); (-2.0, y); (-1.0, z) ]);
+  Model.compile m
+
+let optimal_lp ?basis std =
+  match Simplex.solve ?basis std with
+  | Simplex.Optimal { obj; iterations; basis; _ } -> (obj, iterations, basis)
+  | _ -> Alcotest.fail "expected an optimal LP"
+
+let test_remap_identity () =
+  let std = singleton_lp () in
+  let _, _, wb = optimal_lp std in
+  let n = std.Model.nvars and m = std.Model.nrows in
+  let mapped, reused =
+    Simplex.remap_basis ~nvars:n ~nrows:m ~col_map:(Array.init (n + m) Fun.id)
+      ~row_src:(Array.init m Fun.id) wb
+  in
+  Alcotest.(check (array int)) "same basic columns" wb.Simplex.wcols mapped.Simplex.wcols;
+  Alcotest.(check bool) "same statuses" true (wb.Simplex.wstatus = mapped.Simplex.wstatus);
+  Alcotest.(check bool) "no factorization" true (mapped.Simplex.wfac = None);
+  Alcotest.(check int) "every row carried" m reused
+
+let test_remap_presolve_projection () =
+  let std = singleton_lp () in
+  let _, _, wb = optimal_lp std in
+  match Presolve.run std with
+  | Presolve.Proven_infeasible _ -> Alcotest.fail "singleton LP is feasible"
+  | Presolve.Reduced { std = reduced; kept_rows; _ } ->
+    let n = std.Model.nvars and m = std.Model.nrows in
+    Alcotest.(check (array int)) "presolve drops the singleton rows" [| 0; 1; 3 |] kept_rows;
+    (* the projection Branch_bound applies to a root basis: structurals keep
+       their index, slacks follow their row *)
+    let col_map = Array.make (n + m) (-1) in
+    for j = 0 to n - 1 do
+      col_map.(j) <- j
+    done;
+    Array.iteri (fun i r -> col_map.(n + r) <- n + i) kept_rows;
+    let mapped, reused =
+      Simplex.remap_basis ~nvars:n ~nrows:reduced.Model.nrows ~col_map ~row_src:kept_rows wb
+    in
+    let carried = ref 0 in
+    Array.iteri
+      (fun i r ->
+        let c = col_map.(wb.Simplex.wcols.(r)) in
+        if c >= 0 then begin
+          incr carried;
+          Alcotest.(check int)
+            (Printf.sprintf "row %d keeps its basic column" i)
+            c mapped.Simplex.wcols.(i)
+        end)
+      kept_rows;
+    Alcotest.(check int) "carried-row count" !carried reused;
+    Alcotest.(check int) "every surviving row carried" reduced.Model.nrows reused;
+    let cold_obj, cold_iters, _ = optimal_lp reduced in
+    let warm_obj, warm_iters, _ = optimal_lp ~basis:mapped reduced in
+    Alcotest.(check (float 1e-9)) "same optimum" cold_obj warm_obj;
+    (* the projected optimal basis is accepted as is: one dry pricing pass,
+       where the cold start pivots *)
+    Alcotest.(check bool) "cold start pivots" true (cold_iters > 1);
+    Alcotest.(check int) "warm start accepted without pivots" 1 warm_iters
 
 (* ---------- incremental-vs-cold equivalence ---------- *)
 
@@ -425,8 +546,11 @@ let test_solver_state_rounds () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_apply_bit_identity;
+    QCheck_alcotest.to_alcotest prop_diff_stats_by_name;
     QCheck_alcotest.to_alcotest prop_diff_self_empty;
+    Alcotest.test_case "remap: identity map returns the basis" `Quick test_remap_identity;
+    Alcotest.test_case "remap: presolve projection restarts warm" `Quick
+      test_remap_presolve_projection;
     QCheck_alcotest.to_alcotest prop_lp_incremental_equiv;
     QCheck_alcotest.to_alcotest prop_mip_incremental_equiv;
     Alcotest.test_case "naming stability under server failure" `Quick test_naming_stability;

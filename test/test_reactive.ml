@@ -332,8 +332,9 @@ let test_price_table_parsing () =
     (Solver_state.class_price p ~msb:3 ~hw:5);
   Alcotest.(check (float 1e-9)) "negligible dual skipped" 0.0
     (Solver_state.class_price p ~msb:12 ~hw:0);
-  Alcotest.(check (float 1e-9)) "capacity dual kept signed" (-7.25)
-    (Solver_state.capacity_price p 42);
+  (* the capacity and spread rows carry no class scope and are skipped *)
+  Alcotest.(check int) "only supply rows priced" 1
+    (Hashtbl.length p.Solver_state.class_prices);
   Alcotest.(check (float 1e-9)) "unknown scope prices 0" 0.0
     (Solver_state.class_price p ~msb:0 ~hw:0)
 
