@@ -201,17 +201,16 @@ let run_wear () =
     ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
     (* mean wear of the flash servers the reservation received *)
     let total = ref 0.0 and n = ref 0 in
-    Broker.iter broker ~f:(fun r ->
-        if
-          r.Ras_broker.Broker.current = Ras_broker.Broker.Reservation 1
-          && Ras_workload.Wear.has_flash r.Ras_broker.Broker.server
-        then begin
-          total :=
-            !total
-            +. Ras_workload.Wear.fraction wear
-                 r.Ras_broker.Broker.server.Ras_topology.Region.id;
-          incr n
-        end);
+    let servers = (Broker.region broker).Ras_topology.Region.servers in
+    for id = 0 to Broker.num_servers broker - 1 do
+      if
+        Broker.current_owner broker id = Broker.Reservation 1
+        && Ras_workload.Wear.has_flash servers.(id)
+      then begin
+        total := !total +. Ras_workload.Wear.fraction wear id;
+        incr n
+      end
+    done;
     let mean = if !n = 0 then nan else !total /. float_of_int !n in
     (mean, stats.Ras.Async_solver.phase1.Ras.Phases.grouped_vars)
   in

@@ -62,16 +62,11 @@ let run () =
     end;
     let reservations = enabled @ buffers () in
     Ras.Online_mover.set_reservations mover reservations;
-    let enabled_owners = List.map Ras.Reservation.owner reservations in
-    let include_server (v : Ras.Snapshot.server_view) =
-      v.Ras.Snapshot.current = Broker.Free
-      || v.Ras.Snapshot.current = Broker.Shared_buffer
-      || List.mem v.Ras.Snapshot.current enabled_owners
+    let owners =
+      Broker.Free :: Broker.Shared_buffer :: List.map Ras.Reservation.owner reservations
     in
     let snapshot = Ras.Snapshot.take broker reservations in
-    let stats =
-      Ras.Async_solver.solve ~params:Scenarios.simulation_solver ~include_server snapshot
-    in
+    let stats = Ras.Async_solver.solve ~params:Scenarios.simulation_solver ~owners snapshot in
     ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
     series := (float_of_int (day + 1) /. 7.0, measure ()) :: !series
   done;

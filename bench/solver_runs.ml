@@ -63,12 +63,12 @@ let collect ?(preset = Scenarios.Small) ?(solver = Scenarios.interactive_solver)
         (fun _ -> Ras_stats.Rng.int rng n)
     in
     List.iter (fun id -> Broker.mark_down broker id Unavail.Unplanned_sw) down;
-    Broker.iter broker ~f:(fun r ->
-        match r.Broker.current with
-        | Broker.Reservation _ ->
-          if Ras_stats.Rng.float rng 1.0 < flip_prob then
-            Broker.set_in_use broker r.Broker.server.Region.id true
-        | Broker.Free | Broker.Shared_buffer | Broker.Elastic _ -> ());
+    for id = 0 to n - 1 do
+      match Broker.current_owner broker id with
+      | Broker.Reservation _ ->
+        if Ras_stats.Rng.float rng 1.0 < flip_prob then Broker.set_in_use broker id true
+      | Broker.Free | Broker.Shared_buffer | Broker.Elastic _ -> ()
+    done;
     let snapshot = Ras.Snapshot.take broker reservations in
     (* [incremental] is the continuous loop's persistent cross-round solver
        state: the same object is threaded through every round, so round i's

@@ -19,7 +19,7 @@ let run () =
   let f = Ras.Formulation.build symmetry reservations in
   let std = Ras_mip.Model.compile f.Ras.Formulation.model in
   Report.row "S  (servers):                 %d usable\n"
-    (List.length (Ras.Snapshot.usable_servers snapshot));
+    (Array.fold_left ( + ) 0 (Ras.Snapshot.usable_hw_histogram snapshot));
   Report.row "R  (reservations):            %d (%d guaranteed + %d shared-buffer)\n"
     (List.length reservations)
     (List.length requests)

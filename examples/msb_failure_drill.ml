@@ -56,7 +56,7 @@ let () =
   let msb_load = Hashtbl.create 8 in
   List.iter
     (fun sid ->
-      let msb = (Broker.record broker sid).Broker.server.Region.loc.Region.msb in
+      let msb = (Broker.region broker).Region.servers.(sid).Region.loc.Region.msb in
       Hashtbl.replace msb_load msb (1 + (try Hashtbl.find msb_load msb with Not_found -> 0)))
     (Allocator.servers_in_use alloc);
   let worst_msb, hosted =

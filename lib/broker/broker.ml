@@ -3,19 +3,11 @@ module Unavail = Ras_failures.Unavail
 
 type owner = Free | Reservation of int | Shared_buffer | Elastic of int
 
-type record = {
-  server : Region.server;
-  mutable current : owner;
-  mutable target : owner;
-  mutable down : Unavail.kind option;
-  mutable in_use : bool;
-}
-
 type event = Went_down of int * Unavail.kind | Came_up of int
 
 (* Per-server state lives in flat columns (one int or one byte per server)
-   instead of one heap record per server: at region scale (10^6 servers) the
-   record representation costs ~6 words of header+fields per server plus a
+   instead of one heap record per server: at region scale (10^6 servers) a
+   record representation would cost ~6 words of header+fields per server plus a
    pointer array, while the columns cost ~2.25 words per server total and
    never allocate on reads of the hot fields. *)
 type t = {
@@ -49,12 +41,6 @@ let kind_code = function
   | Unavail.Unplanned_hw -> 2
   | Unavail.Correlated -> 3
 
-let kind_of_code = function
-  | 0 -> Unavail.Planned_maintenance
-  | 1 -> Unavail.Unplanned_sw
-  | 2 -> Unavail.Unplanned_hw
-  | _ -> Unavail.Correlated
-
 let free_code = 0
 
 let create reg =
@@ -85,31 +71,15 @@ let target_code t id = check t id "target_code"; t.target.(id)
 
 let current_owner t id = owner_of_code (current_code t id)
 
-let down_code t id = check t id "down_code"; Char.code (Bytes.unsafe_get t.down id)
-
-let down_at t id =
-  match down_code t id with 0 -> None | c -> Some (kind_of_code (c - 1))
+let down_code t id fn = check t id fn; Char.code (Bytes.unsafe_get t.down id)
 
 let in_use_at t id = check t id "in_use_at"; Bytes.unsafe_get t.in_use id <> '\000'
 
 let available_code c = c = 0 || c = 1 + kind_code Unavail.Planned_maintenance
 
-let available_at t id = available_code (down_code t id)
+let available_at t id = available_code (down_code t id "available_at")
 
-let healthy_at t id = down_code t id = 0
-
-(* [record] materializes a view of one server's columns.  It is a copy:
-   writes to its mutable fields do not reach the store (mutate through
-   {!move}/{!set_target}/{!mark_down}/{!mark_up}/{!set_in_use} instead). *)
-let record t id =
-  check t id "record";
-  {
-    server = t.reg.Region.servers.(id);
-    current = owner_of_code t.current.(id);
-    target = owner_of_code t.target.(id);
-    down = down_at t id;
-    in_use = in_use_at t id;
-  }
+let healthy_at t id = down_code t id "healthy_at" = 0
 
 let subscribe t f = t.subscribers <- f :: t.subscribers
 
@@ -133,14 +103,14 @@ let move t id owner =
 
 let mark_down t id kind =
   let code = 1 + kind_code kind in
-  if down_code t id <> code then begin
+  if down_code t id "mark_down" <> code then begin
     Bytes.unsafe_set t.down id (Char.chr code);
     notify_change t id;
     notify t (Went_down (id, kind))
   end
 
 let mark_up t id =
-  if down_code t id <> 0 then begin
+  if down_code t id "mark_up" <> 0 then begin
     Bytes.unsafe_set t.down id '\000';
     notify_change t id;
     notify t (Came_up id)
@@ -181,18 +151,6 @@ let extend_region t reg =
     notify_change t id
   done
 
-let fold t ~init ~f =
-  let acc = ref init in
-  for id = 0 to num_servers t - 1 do
-    acc := f !acc (record t id)
-  done;
-  !acc
-
-let iter t ~f =
-  for id = 0 to num_servers t - 1 do
-    f (record t id)
-  done
-
 let servers_with_owner t owner =
   let code = owner_code owner in
   let out = ref [] in
@@ -206,10 +164,3 @@ let count_owner t owner =
   let acc = ref 0 in
   Array.iter (fun c -> if c = code then incr acc) t.current;
   !acc
-
-let available (r : record) =
-  match r.down with
-  | None | Some Unavail.Planned_maintenance -> true
-  | Some (Unavail.Unplanned_sw | Unavail.Unplanned_hw | Unavail.Correlated) -> false
-
-let healthy (r : record) = r.down = None

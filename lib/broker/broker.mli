@@ -14,23 +14,16 @@
 
     Internally the store is columnar — one int or byte column per field,
     indexed by server id — so a region-scale broker (10⁶ servers) costs a
-    few flat arrays rather than a million heap records.  {!record}
-    materializes a per-server view on demand; the [*_at] / [*_code]
-    accessors read the columns without allocating. *)
+    few flat arrays rather than a million heap records.  The [*_at] /
+    [*_code] / {!current_owner} accessors are the only read path: they read
+    the columns without allocating, and each raises [Invalid_argument] on an
+    unknown server id. *)
 
 type owner =
   | Free  (** region free pool *)
   | Reservation of int  (** bound to a guaranteed reservation *)
   | Shared_buffer  (** the shared random-failure buffer (§3.3.1) *)
   | Elastic of int  (** buffer capacity lent to an elastic reservation (§3.4) *)
-
-type record = {
-  server : Ras_topology.Region.server;
-  mutable current : owner;
-  mutable target : owner;
-  mutable down : Ras_failures.Unavail.kind option;  (** [None] = healthy *)
-  mutable in_use : bool;  (** has running containers (drives movement cost) *)
-}
 
 type t
 
@@ -43,16 +36,10 @@ val region : t -> Ras_topology.Region.t
 
 val num_servers : t -> int
 
-val record : t -> int -> record
-(** Materializes a snapshot of one server's columns.  The returned record is
-    a copy: writes to its mutable fields do not reach the store — mutate
-    through {!move}/{!set_target}/{!mark_down}/{!mark_up}/{!set_in_use}.
-    Raises [Invalid_argument] on an unknown server id. *)
+(** {2 Column accessors}
 
-(** {2 Allocation-free column accessors}
-
-    The hot paths (snapshot capture, symmetry aggregation) read server state
-    through these instead of materializing {!record}s. *)
+    Reads never allocate; writes go through {!move}/{!set_target}/
+    {!mark_down}/{!mark_up}/{!set_in_use}. *)
 
 val owner_code : owner -> int
 (** Injective encoding of {!owner} as an immediate int ([Free] = 0). *)
@@ -67,14 +54,15 @@ val target_code : t -> int -> int
 
 val current_owner : t -> int -> owner
 
-val down_at : t -> int -> Ras_failures.Unavail.kind option
-
 val in_use_at : t -> int -> bool
+(** Has running containers (drives movement cost). *)
 
 val available_at : t -> int -> bool
-(** Column equivalent of {!available}. *)
+(** Healthy or under planned maintenance: planned events count as usable
+    capacity for the solver (§3.5.1). *)
 
 val healthy_at : t -> int -> bool
+(** No active unavailability at all. *)
 
 val subscribe : t -> (event -> unit) -> unit
 (** Callbacks run synchronously on {!mark_down}/{!mark_up}, in subscription
@@ -110,20 +98,9 @@ val set_in_use : t -> int -> bool -> unit
 
 val extend_region : t -> Ras_topology.Region.t -> unit
 (** Adopt an extended region (see {!Ras_topology.Generator.extend}): new
-    servers are added as [Free]; existing records are untouched.  Raises
+    servers are added as [Free]; existing servers keep their state.  Raises
     [Invalid_argument] if the new region does not extend the old one. *)
-
-val fold : t -> init:'a -> f:('a -> record -> 'a) -> 'a
-
-val iter : t -> f:(record -> unit) -> unit
 
 val servers_with_owner : t -> owner -> int list
 
 val count_owner : t -> owner -> int
-
-val available : record -> bool
-(** Healthy or under planned maintenance: planned events count as usable
-    capacity for the solver (§3.5.1). *)
-
-val healthy : record -> bool
-(** No active unavailability at all. *)

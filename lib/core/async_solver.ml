@@ -108,7 +108,7 @@ let merge_moves moves1 moves2 =
   in
   go [] moves1 moves2
 
-let solve ?(params = default_params) ?include_server ?state (snapshot : Snapshot.t) =
+let solve ?(params = default_params) ?owners ?state (snapshot : Snapshot.t) =
   let start = Unix.gettimeofday () in
   let reservations = snapshot.Snapshot.reservations in
   let phase1 =
@@ -118,7 +118,7 @@ let solve ?(params = default_params) ?include_server ?state (snapshot : Snapshot
        pay off there *)
     Phases.run ~params:params.formulation ~mip_time_limit:params.phase1_time_limit_s
       ~mip_node_limit:params.node_limit ~mip_gap_rel:params.mip_gap_rel
-      ~mip_stall_nodes:params.mip_stall_nodes ~rack_level:false ?include_server
+      ~mip_stall_nodes:params.mip_stall_nodes ~rack_level:false ?owners
       ?decompose:params.decompose ?state snapshot reservations
   in
   let assignment1 = Formulation.decode phase1.Phases.formulation phase1.Phases.solution in
@@ -173,18 +173,18 @@ let solve ?(params = default_params) ?include_server ?state (snapshot : Snapshot
         match !selected with
         | [] -> (None, plan1)
         | selected ->
-          let owners = List.map Reservation.owner selected in
-          let user_filter = Option.value include_server ~default:(fun _ -> true) in
-          let include_server (v : Snapshot.server_view) =
-            (v.Snapshot.current = Broker.Free || List.mem v.Snapshot.current owners)
-            && user_filter v
+          let phase2_owners = Broker.Free :: List.map Reservation.owner selected in
+          let phase2_owners =
+            match owners with
+            | None -> phase2_owners
+            | Some allowed -> List.filter (fun o -> List.mem o allowed) phase2_owners
           in
           let snapshot2 = { (Snapshot.with_current snapshot target) with Snapshot.in_use } in
           let result =
             Phases.run ~params:params.formulation
               ~mip_time_limit:params.phase2_time_limit_s ~mip_node_limit:params.node_limit
               ~mip_gap_rel:params.mip_gap_rel ~mip_stall_nodes:params.mip_stall_nodes
-              ~rack_level:true ~include_server snapshot2 selected
+              ~rack_level:true ~owners:phase2_owners snapshot2 selected
           in
           let assignment2 = Formulation.decode result.Phases.formulation result.Phases.solution in
           let plan2 = Concretize.plan result.Phases.formulation assignment2 in

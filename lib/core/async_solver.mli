@@ -80,14 +80,15 @@ type stats = {
 
 val solve :
   ?params:params ->
-  ?include_server:(Snapshot.server_view -> bool) ->
+  ?owners:Ras_broker.Broker.owner list ->
   ?state:Solver_state.t ->
   Snapshot.t ->
   stats
-(** [include_server] restricts the assignable server pool (on top of the
-    availability constraint); used to roll RAS out to a subset of the fleet
-    while the rest stays under legacy management (Fig. 12's gradual
-    enablement).
+(** [owners] restricts the assignable server pool (on top of the
+    availability constraint) to the servers whose snapshot owner is in the
+    list; used to roll RAS out to a subset of the fleet while the rest stays
+    under legacy management (Fig. 12's gradual enablement).  Phase 2 keeps
+    [Free] and its selected reservations, intersected with [owners].
 
     [state] is the persistent cross-round solver state of the continuous
     loop: pass the same {!Solver_state.t} to every round and phase 1

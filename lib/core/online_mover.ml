@@ -4,7 +4,12 @@ module Hw = Ras_topology.Hardware
 module Engine = Ras_sim.Engine
 module Unavail = Ras_failures.Unavail
 
-type apply_stats = { moved_in_use : int; moved_unused : int; skipped_unavailable : int }
+type apply_stats = {
+  moved_in_use : int;
+  moved_unused : int;
+  skipped_unavailable : int;
+  conflicts : int;
+}
 
 type t = {
   broker : Broker.t;
@@ -86,13 +91,12 @@ let find_replacement t res ~failed_hw =
   | None, None -> None
 
 let replace_failed t id =
-  let r = Broker.record t.broker id in
-  match r.Broker.current with
+  match Broker.current_owner t.broker id with
   | Broker.Reservation rid -> (
     match reservation_of t rid with
     | None -> ()
     | Some res -> (
-      let failed_hw = r.Broker.server.Region.hw.Ras_topology.Hardware.index in
+      let failed_hw = (Broker.region t.broker).Region.servers.(id).Region.hw.Hw.index in
       match find_replacement t res ~failed_hw with
       | Some replacement ->
         do_move t replacement (Broker.Reservation rid);
@@ -137,28 +141,41 @@ let create ?engine ?reactive broker =
       | Some engine ->
         Engine.schedule engine
           ~at:(Engine.now engine +. (1.0 /. 60.0))
-          (fun _ ->
-            let r = Broker.record t.broker id in
-            if not (Broker.healthy r) then replace_failed t id)
+          (fun _ -> if not (Broker.healthy_at t.broker id) then replace_failed t id)
       | None -> replace_failed t id)
     | Broker.Went_down _ | Broker.Came_up _ -> ()
   in
   Broker.subscribe broker on_event;
   t
 
+(* The owner a plan's move expects: the home owner of a lent server (what
+   [Snapshot.take ~home_of] recorded), the current owner otherwise. *)
+let planned_owner_code t id =
+  match home_of t id with
+  | Some home -> Broker.owner_code home
+  | None -> Broker.current_code t.broker id
+
 let apply_plan t (plan : Concretize.plan) =
-  let moved_in_use = ref 0 and moved_unused = ref 0 and skipped = ref 0 in
+  let moved_in_use = ref 0 and moved_unused = ref 0 and skipped = ref 0 and conflicts = ref 0 in
   List.iter
     (fun (m : Concretize.move) ->
       let id = m.Concretize.server in
-      Broker.set_target t.broker id m.Concretize.to_;
-      if not (Broker.available_at t.broker id) then incr skipped
+      if planned_owner_code t id <> Broker.owner_code m.Concretize.from_ then incr conflicts
       else begin
-        if Broker.in_use_at t.broker id then incr moved_in_use else incr moved_unused;
-        do_move t id m.Concretize.to_
+        Broker.set_target t.broker id m.Concretize.to_;
+        if not (Broker.available_at t.broker id) then incr skipped
+        else begin
+          if Broker.in_use_at t.broker id then incr moved_in_use else incr moved_unused;
+          do_move t id m.Concretize.to_
+        end
       end)
     plan.Concretize.moves;
-  { moved_in_use = !moved_in_use; moved_unused = !moved_unused; skipped_unavailable = !skipped }
+  {
+    moved_in_use = !moved_in_use;
+    moved_unused = !moved_unused;
+    skipped_unavailable = !skipped;
+    conflicts = !conflicts;
+  }
 
 let lend_idle t ~elastic_id ~max_servers =
   if max_servers <= 0 then 0
@@ -190,8 +207,7 @@ let revoke t ~elastic_id =
     (fun id ->
       match Hashtbl.find_opt t.loans id with
       | Some home ->
-        let r = Broker.record t.broker id in
-        if r.Broker.in_use then t.preempt id;
+        if Broker.in_use_at t.broker id then t.preempt id;
         Hashtbl.remove t.loans id;
         Broker.move t.broker id home;
         incr revoked

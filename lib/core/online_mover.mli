@@ -15,6 +15,9 @@ type apply_stats = {
   moved_in_use : int;  (** moves that preempted running containers *)
   moved_unused : int;
   skipped_unavailable : int;  (** planned moves whose server was down *)
+  conflicts : int;
+      (** planned moves whose server changed owner since the snapshot (a
+          tier-1 grant or replacement); neither target nor owner written *)
 }
 
 val create : ?engine:Ras_sim.Engine.t -> ?reactive:Reactive.t -> Ras_broker.Broker.t -> t
@@ -49,11 +52,15 @@ val on_preempt : t -> (int -> unit) -> unit
     container allocator uses this to evict and re-queue containers. *)
 
 val apply_plan : t -> Concretize.plan -> apply_stats
-(** Execute the binding intent in O(moves): each move records its [to_] as
-    the server's target, then moves the server if it is available.  An
-    unavailable one keeps its owner (counted in [skipped_unavailable]) and
-    is picked up by a later solve once it returns.  Servers the plan does
-    not name keep their recorded target. *)
+(** Execute the binding intent in O(moves), compare-and-set: a move applies
+    only while the server's owner still equals its [from_] (for a lent
+    server, its home owner, as {!home_of} reports it).  A server bound
+    elsewhere since the snapshot keeps its owner and target and is counted
+    in [conflicts].  An applied move records its [to_] as the server's
+    target, then moves the server if it is available.  An unavailable one
+    keeps its owner (counted in [skipped_unavailable]) and is picked up by a
+    later solve once it returns.  Servers the plan does not name keep their
+    recorded target. *)
 
 val home_of : t -> int -> Ras_broker.Broker.owner option
 (** Lending overlay for {!Snapshot.take}. *)

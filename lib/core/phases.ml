@@ -30,11 +30,11 @@ let now () = Unix.gettimeofday ()
 
 let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
     ?(mip_gap_rel = Branch_bound.default_options.Branch_bound.gap_rel)
-    ?(mip_stall_nodes = 0) ?(rack_level = false) ?include_server ?decompose ?state
+    ?(mip_stall_nodes = 0) ?(rack_level = false) ?owners ?decompose ?state
     snapshot reservations =
   let words_before = Gc.allocated_bytes () in
   let t0 = now () in
-  let symmetry = Symmetry.build ~rack_level ?include_server snapshot in
+  let symmetry = Symmetry.build ~rack_level ?owners snapshot in
   let formulation = Formulation.build ?params ~rack_level symmetry reservations in
   let t1 = now () in
   let std = Model.compile formulation.Formulation.model in

@@ -51,13 +51,16 @@ val run :
   ?mip_gap_rel:float ->
   ?mip_stall_nodes:int ->
   ?rack_level:bool ->
-  ?include_server:(Snapshot.server_view -> bool) ->
+  ?owners:Ras_broker.Broker.owner list ->
   ?decompose:int ->
   ?state:Solver_state.t ->
   Snapshot.t ->
   Reservation.t list ->
   result
-(** [?decompose:k] with [k > 1] partitions the formulation with
+(** [?owners] restricts the assignable pool to the usable servers whose
+    snapshot owner is in the list (see {!Symmetry.build}).
+
+    [?decompose:k] with [k > 1] partitions the formulation with
     {!Formulation.partition_vars} and solves the [k] subproblems
     concurrently via {!Ras_mip.Decompose} (POP-style, one domain each),
     merging and repairing the result; the monolith root LP remains the

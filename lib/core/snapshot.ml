@@ -1,18 +1,10 @@
 module Broker = Ras_broker.Broker
 module Region = Ras_topology.Region
 
-type server_view = {
-  server : Region.server;
-  current : Broker.owner;
-  in_use : bool;
-  usable : bool;
-  attr : int;
-}
-
 (* Server state is columnar (int/byte column per field, indexed by server
    id): a region-scale snapshot costs a handful of flat arrays instead of
-   10^6 view records, and capture from the (equally columnar) broker is a
-   tight loop with no per-server allocation. *)
+   10^6 per-server records, and capture from the (equally columnar) broker
+   is a tight loop with no per-server allocation. *)
 type t = {
   region : Region.t;
   current : int array;  (* Broker.owner_code per server *)
@@ -72,31 +64,10 @@ let usable_hw_histogram t =
   done;
   counts
 
-let view t id =
-  {
-    server = server t id;
-    current = current t id;
-    in_use = in_use_at t id;
-    usable = usable_at t id;
-    attr = t.attr.(id);
-  }
-
 let with_current t current =
   if Array.length current <> Array.length t.current then
     invalid_arg "Snapshot.with_current: column length mismatch";
   { t with current }
-
-let iter_views t ~f =
-  for id = 0 to num_servers t - 1 do
-    f (view t id)
-  done
-
-let usable_servers t =
-  let out = ref [] in
-  for id = num_servers t - 1 downto 0 do
-    if usable_at t id then out := view t id :: !out
-  done;
-  !out
 
 (* Buffer reservations are per hardware category, so category membership
    (rru_of > 0) identifies which buffer reservation holds a [Shared_buffer]
@@ -108,44 +79,32 @@ let owned_by_code res code hw =
     code = Broker.owner_code (Broker.Reservation res.Reservation.id)
     && not (Reservation.is_buffer res)
 
-let current_rru t res =
-  let acc = ref 0.0 in
+(* The one "usable and owned by [res]" loop behind the RRU queries: [f acc
+   server rru] runs in ascending id order, so every sum keeps one order. *)
+let fold_owned_rru t res ~init ~f =
+  let acc = ref init in
   for id = 0 to num_servers t - 1 do
     if usable_at t id then begin
-      let hw = (server t id).Region.hw in
-      if owned_by_code res t.current.(id) hw then
-        acc := !acc +. res.Reservation.rru_of hw
+      let s = server t id in
+      let hw = s.Region.hw in
+      if owned_by_code res t.current.(id) hw then acc := f !acc s (res.Reservation.rru_of hw)
     end
   done;
   !acc
 
+let current_rru t res = fold_owned_rru t res ~init:0.0 ~f:(fun acc _ rru -> acc +. rru)
+
+let rru_by_scope t res ~size ~scope =
+  fold_owned_rru t res ~init:(Array.make size 0.0) ~f:(fun out s rru ->
+      let k = scope s.Region.loc in
+      out.(k) <- out.(k) +. rru;
+      out)
+
 let rru_by_msb t res =
-  let out = Array.make t.region.Region.num_msbs 0.0 in
-  for id = 0 to num_servers t - 1 do
-    if usable_at t id then begin
-      let s = server t id in
-      let hw = s.Region.hw in
-      if owned_by_code res t.current.(id) hw then begin
-        let m = s.Region.loc.Region.msb in
-        out.(m) <- out.(m) +. res.Reservation.rru_of hw
-      end
-    end
-  done;
-  out
+  rru_by_scope t res ~size:t.region.Region.num_msbs ~scope:(fun l -> l.Region.msb)
 
 let rru_by_dc t res =
-  let out = Array.make t.region.Region.num_dcs 0.0 in
-  for id = 0 to num_servers t - 1 do
-    if usable_at t id then begin
-      let s = server t id in
-      let hw = s.Region.hw in
-      if owned_by_code res t.current.(id) hw then begin
-        let d = s.Region.loc.Region.dc in
-        out.(d) <- out.(d) +. res.Reservation.rru_of hw
-      end
-    end
-  done;
-  out
+  rru_by_scope t res ~size:t.region.Region.num_dcs ~scope:(fun l -> l.Region.dc)
 
 let max_msb_share t res =
   let per_msb = rru_by_msb t res in

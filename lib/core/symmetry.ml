@@ -58,12 +58,12 @@ let finish snapshot classes =
     owner_counts = count_owners snapshot classes;
   }
 
-(* Streaming build: one pass over server ids reading the snapshot columns
-   (no per-server view records on the default path), grouping into classes
-   via a key table.  Member arrays are filled in a second pass over a
-   per-server group-index scratch column, so ids come out ascending for free
-   and the optional filter runs exactly once per server. *)
-let build ?(rack_level = false) ?include_server (snapshot : Snapshot.t) =
+(* Streaming build: one pass over server ids reading the snapshot columns,
+   grouping into classes via a key table.  Member arrays are filled in a
+   second pass over a per-server group-index scratch column, so ids come out
+   ascending for free.  The owner filter tests the owner-code column, so no
+   owner is decoded. *)
+let build ?(rack_level = false) ?owners (snapshot : Snapshot.t) =
   let n = Snapshot.num_servers snapshot in
   let group_of_key : (key, int) Hashtbl.t = Hashtbl.create 256 in
   let keys : key list ref = ref [] in
@@ -71,9 +71,11 @@ let build ?(rack_level = false) ?include_server (snapshot : Snapshot.t) =
   (* group index per server, -1 = excluded *)
   let group = Array.make n (-1) in
   let keep =
-    match include_server with
+    match owners with
     | None -> fun _ -> true
-    | Some f -> fun id -> f (Snapshot.view snapshot id)
+    | Some owners ->
+      let codes = List.map Broker.owner_code owners in
+      fun id -> List.mem (Snapshot.current_code snapshot id) codes
   in
   for id = 0 to n - 1 do
     if Snapshot.usable_at snapshot id && keep id then begin
@@ -98,9 +100,9 @@ let build ?(rack_level = false) ?include_server (snapshot : Snapshot.t) =
         group.(id) <- g
     end
   done;
-  (* class order is the sorted key order, as in the reference build: the
-     dense indices (and the name list order) must not depend on which server
-     id happened to introduce each class *)
+  (* class order is the sorted key order: the dense indices (and the name
+     list order) must not depend on which server id happened to introduce
+     each class *)
   let sorted_keys = List.sort compare !keys in
   let class_of_group = Array.make !num_groups (-1) in
   List.iteri
@@ -123,42 +125,6 @@ let build ?(rack_level = false) ?include_server (snapshot : Snapshot.t) =
       (List.mapi (fun index key -> cls_of_key index key members.(index)) sorted_keys)
   in
   finish snapshot classes
-
-(* The pre-streaming implementation, kept verbatim as the differential
-   oracle for the aggregation-equivalence battery (test_region_scale.ml):
-   materializes every server view and groups member-id lists through the
-   key table, exactly as builds did before the columnar refactor.  Unlike
-   the tier-1 oracles it stays in the library: it needs the private [key]
-   type and [finish], and exporting them would widen the interface. *)
-let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
-    (snapshot : Snapshot.t) =
-  let groups : (key, int list ref) Hashtbl.t = Hashtbl.create 256 in
-  Snapshot.iter_views snapshot ~f:(fun (v : Snapshot.server_view) ->
-      if v.Snapshot.usable && include_server v then begin
-        let loc = v.Snapshot.server.Region.loc in
-        let key =
-          {
-            kmsb = loc.Region.msb;
-            krack = (if rack_level then loc.Region.rack else -1);
-            khw = v.Snapshot.server.Region.hw.Hw.index;
-            kuse = v.Snapshot.in_use;
-            kattr = v.Snapshot.attr;
-          }
-        in
-        match Hashtbl.find_opt groups key with
-        | Some members -> members := v.Snapshot.server.Region.id :: !members
-        | None -> Hashtbl.replace groups key (ref [ v.Snapshot.server.Region.id ])
-      end);
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) groups [] in
-  let keys = List.sort compare keys in
-  let classes =
-    List.mapi
-      (fun index key ->
-        let members = Array.of_list (List.sort compare !(Hashtbl.find groups key)) in
-        cls_of_key index key members)
-      keys
-  in
-  finish snapshot (Array.of_list classes)
 
 (* Stable identity of a class: every field of the grouping key, none of the
    dense index.  Used to name model variables and rows, so that the same

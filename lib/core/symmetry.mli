@@ -31,24 +31,14 @@ type t = {
           ({!Ras_broker.Broker.owner_code}), making {!current_count} O(1) *)
 }
 
-val build :
-  ?rack_level:bool ->
-  ?include_server:(Snapshot.server_view -> bool) ->
-  Snapshot.t ->
-  t
-(** Classes over the snapshot's usable servers (optionally filtered
-    further).  Defaults: MSB-level, all usable servers.  Streams over the
-    snapshot columns: per-server work is O(1) and, absent a filter, no
-    per-server view records are materialized. *)
-
-val build_reference :
-  ?rack_level:bool ->
-  ?include_server:(Snapshot.server_view -> bool) ->
-  Snapshot.t ->
-  t
-(** The pre-streaming implementation (materializes every server view and
-    groups id lists), kept as the differential oracle: [build] must agree
-    with it class-for-class, member-for-member on any snapshot. *)
+val build : ?rack_level:bool -> ?owners:Ras_broker.Broker.owner list -> Snapshot.t -> t
+(** Classes over the snapshot's usable servers, MSB-level by default.
+    [?owners] keeps only the servers whose snapshot owner is in the list
+    (default: every owner); membership is tested on owner codes.  Streams
+    over the snapshot columns: per-server work is O(1) (O(|owners|) with a
+    filter) and nothing per-server is materialized.  The test suite keeps a
+    list-grouping oracle that this must match class-for-class,
+    member-for-member. *)
 
 val class_name : cls -> string
 (** Stable textual identity of the class, built from every grouping-key

@@ -80,8 +80,7 @@ let create ?(config = default_config) brk =
   Online_mover.set_reservations mv (reservations t);
   (* preemption: route to the allocator of the server's current owner *)
   Online_mover.on_preempt mv (fun id ->
-      let r = Broker.record brk id in
-      match r.Broker.current with
+      match Broker.current_owner brk id with
       | Broker.Reservation rid | Broker.Elastic rid -> (
         match Hashtbl.find_opt t.allocators rid with
         | Some alloc -> Allocator.evict_server alloc id
@@ -118,11 +117,11 @@ let remove_reservation t rid =
   Hashtbl.remove t.requests rid;
   Hashtbl.remove t.allocators rid;
   Online_mover.set_reservations t.mv (reservations t);
-  Broker.iter t.brk ~f:(fun r ->
-      if r.Broker.current = Broker.Reservation rid then begin
-        Broker.move t.brk r.Broker.server.Region.id Broker.Free;
-        Broker.set_target t.brk r.Broker.server.Region.id Broker.Free
-      end)
+  List.iter
+    (fun id ->
+      Broker.move t.brk id Broker.Free;
+      Broker.set_target t.brk id Broker.Free)
+    (Broker.servers_with_owner t.brk (Broker.Reservation rid))
 
 let install_failures t events = ignore (Health.install t.eng t.brk events)
 
@@ -181,12 +180,12 @@ let record_metrics t =
   if not (Float.is_nan frac) then Metrics.record t.mtr "max_msb_share" ~time:now frac;
   (* power *)
   let usage_of (s : Region.server) =
-    let r = Broker.record t.brk s.Region.id in
-    match r.Broker.current with
+    let id = s.Region.id in
+    match Broker.current_owner t.brk id with
     | Broker.Free -> Power.Idle_free
     | Broker.Shared_buffer -> Power.Assigned_idle
     | Broker.Reservation _ | Broker.Elastic _ ->
-      if r.Broker.in_use then Power.Assigned_busy else Power.Assigned_idle
+      if Broker.in_use_at t.brk id then Power.Assigned_busy else Power.Assigned_idle
   in
   let draw = Power.msb_power (Broker.region t.brk) ~usage_of in
   Metrics.record t.mtr "power_variance" ~time:now (Power.normalized_variance draw);
@@ -220,11 +219,12 @@ let record_metrics t =
       | [] -> ())
     t.guaranteed;
   (* availability + pool state *)
-  let down =
-    Broker.fold t.brk ~init:0 ~f:(fun acc r -> if Broker.healthy r then acc else acc + 1)
-  in
+  let down = ref 0 in
+  for id = 0 to Broker.num_servers t.brk - 1 do
+    if not (Broker.healthy_at t.brk id) then incr down
+  done;
   Metrics.record t.mtr "unavailable_frac" ~time:now
-    (float_of_int down /. float_of_int (Broker.num_servers t.brk));
+    (float_of_int !down /. float_of_int (Broker.num_servers t.brk));
   Metrics.record t.mtr "free_servers" ~time:now
     (float_of_int (Broker.count_owner t.brk Broker.Free));
   Metrics.record t.mtr "loans_outstanding" ~time:now

@@ -6,8 +6,6 @@ type options = {
   gap_abs : float;
   gap_rel : float;
   stall_node_limit : int;
-  int_tol : float;
-  heuristic_period : int;
   initial : float array option;
   root_basis : Simplex.warm_basis option;
   warm_start : bool;
@@ -16,6 +14,12 @@ type options = {
   dual_restart : bool;
 }
 
+(* Integrality tolerance on LP values, and the node period of the rounding
+   heuristic. *)
+let int_tol = 1e-6
+
+let heuristic_period = 20
+
 let default_options =
   {
     time_limit = infinity;
@@ -23,8 +27,6 @@ let default_options =
     gap_abs = 1e-6;
     gap_rel = 1e-9;
     stall_node_limit = 0;
-    int_tol = 1e-6;
-    heuristic_period = 20;
     initial = None;
     root_basis = None;
     warm_start = true;
@@ -125,7 +127,7 @@ let fractionality v = Float.abs (v -. Float.round v)
 
 (* Most-fractional branching: [fractionality] is the distance to the nearest
    integer, so maximizing it picks the variable closest to half-integral. *)
-let pick_branch_var (std : Model.std) ~int_tol x =
+let pick_branch_var (std : Model.std) x =
   let best = ref (-1) and best_score = ref int_tol in
   for j = 0 to std.nvars - 1 do
     if std.integer.(j) then begin
@@ -153,7 +155,7 @@ let rounding_probe (std : Model.std) node x =
   | Ok () -> Some (y, Model.objective_value std y)
   | Error _ -> None
 
-let integral (std : Model.std) ~int_tol x =
+let integral (std : Model.std) x =
   let ok = ref true in
   for j = 0 to std.nvars - 1 do
     if std.integer.(j) && fractionality x.(j) > int_tol then ok := false
@@ -243,7 +245,7 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
           dual_pivots := !dual_pivots + dual_iterations
         end;
         if obj < !incumbent_obj -. options.gap_abs then begin
-          if integral std ~int_tol:options.int_tol x then begin
+          if integral std x then begin
             (* round off the tiny fractional noise before storing *)
             let y = Array.copy x in
             for j = 0 to std.nvars - 1 do
@@ -252,12 +254,12 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
             update_incumbent y obj
           end
           else begin
-            if !nodes mod options.heuristic_period = 1 then begin
+            if !nodes mod heuristic_period = 1 then begin
               match rounding_probe std node x with
               | Some (y, hobj) -> update_incumbent y hobj
               | None -> ()
             end;
-            match pick_branch_var std ~int_tol:options.int_tol x with
+            match pick_branch_var std x with
             | None -> ()
             | Some j ->
               (* both children share one stripped snapshot of this node's

@@ -37,8 +37,6 @@ type options = {
           so gap-based stopping never fires; stalling is the stopping rule
           the continuous loop uses — a near-optimal cross-round seed makes
           the re-solve terminate after a handful of nodes *)
-  int_tol : float;  (** integrality tolerance on LP values *)
-  heuristic_period : int;  (** run the rounding heuristic every N nodes *)
   initial : float array option;
       (** a known (possibly stale) solution to seed the incumbent.  The
           seed is checked with {!Model.check_solution}; an invalid one —
@@ -75,9 +73,10 @@ type options = {
 
 val default_options : options
 (** [time_limit = infinity], [node_limit = 100_000], [gap_abs = 1e-6],
-    [gap_rel = 1e-9], [int_tol = 1e-6], [heuristic_period = 20], no initial
-    solution, [warm_start = true], [lp_pricing = Simplex.Devex],
-    [lp_backend = Basis.Lu], [dual_restart = true]. *)
+    [gap_rel = 1e-9], no initial solution, [warm_start = true],
+    [lp_pricing = Simplex.Devex], [lp_backend = Basis.Lu],
+    [dual_restart = true].  The integrality tolerance on LP values is
+    [1e-6], and the rounding heuristic runs every 20 nodes. *)
 
 type seed_status =
   | Seed_none  (** no initial solution was supplied *)

@@ -45,6 +45,13 @@ type result =
   | Unbounded
   | Iteration_limit of { feasible : bool; obj : float }
 
+(* Primal feasibility, dual feasibility and pivot-magnitude tolerances. *)
+let feas_tol = 1e-7
+
+let dual_tol = 1e-7
+
+let pivot_tol = 1e-9
+
 type state = {
   std : Model.std;
   m : int;
@@ -56,9 +63,6 @@ type state = {
   xval : float array;
   basis : int array;  (* basis.(i) = column basic in row i *)
   mutable fac : Basis.t;  (* factorized basis (LU+eta or dense inverse) *)
-  feas_tol : float;
-  dual_tol : float;
-  pivot_tol : float;
   mutable bland : bool;  (* anti-cycling mode *)
   mutable degenerate_run : int;
   degen_limit : int;  (* consecutive degenerate pivots before Bland mode *)
@@ -220,8 +224,8 @@ let recompute_basics st =
 
 let infeasibility_of st b =
   let x = st.xval.(b) in
-  if x < st.lb.(b) -. st.feas_tol then st.lb.(b) -. x
-  else if x > st.ub.(b) +. st.feas_tol then x -. st.ub.(b)
+  if x < st.lb.(b) -. feas_tol then st.lb.(b) -. x
+  else if x > st.ub.(b) +. feas_tol then x -. st.ub.(b)
   else 0.0
 
 let total_infeasibility st =
@@ -240,8 +244,8 @@ let total_infeasibility st =
 let phase1_cost st i =
   let b = st.basis.(i) in
   let x = st.xval.(b) in
-  if x < st.lb.(b) -. st.feas_tol then -1.0
-  else if x > st.ub.(b) +. st.feas_tol then 1.0
+  if x < st.lb.(b) -. feas_tol then -1.0
+  else if x > st.ub.(b) +. feas_tol then 1.0
   else 0.0
 
 (* Simplex multipliers into the caller buffer [dst] (length m), through the
@@ -352,11 +356,11 @@ let entering_direction st ~d j =
   else
     match st.status.(j) with
     | Basic -> None
-    | At_lower -> if d < -.st.dual_tol then Some 1.0 else None
-    | At_upper -> if d > st.dual_tol then Some (-1.0) else None
+    | At_lower -> if d < -.dual_tol then Some 1.0 else None
+    | At_upper -> if d > dual_tol then Some (-1.0) else None
     | Nb_free ->
-      if d < -.st.dual_tol then Some 1.0
-      else if d > st.dual_tol then Some (-1.0)
+      if d < -.dual_tol then Some 1.0
+      else if d > dual_tol then Some (-1.0)
       else None
 
 (* Candidate-list maintenance (Devex phase-2 pricing).  [rebuild_clist]
@@ -550,7 +554,7 @@ type block =
    away from feasibility never blocks because the pricing step already
    accounted for that gradient. *)
 let ratio_test st (alpha : Basis.Svec.t) ~dir ~phase1 j =
-  let eps = st.pivot_tol in
+  let eps = pivot_tol in
   let t_enter =
     match st.status.(j) with
     | Nb_free -> infinity
@@ -572,10 +576,10 @@ let ratio_test st (alpha : Basis.Svec.t) ~dir ~phase1 j =
       let x = st.xval.(b) in
       let lo = st.lb.(b) and hi = st.ub.(b) in
       let candidate =
-        if phase1 && x < lo -. st.feas_tol then
+        if phase1 && x < lo -. feas_tol then
           (* below its lower bound: blocks only when climbing back to it *)
           (if delta > eps then Some ((lo -. x) /. delta, At_lower) else None)
-        else if phase1 && x > hi +. st.feas_tol then
+        else if phase1 && x > hi +. feas_tol then
           (if delta < -.eps then Some ((hi -. x) /. delta, At_upper) else None)
         else if delta > eps then
           (if Float.is_finite hi then Some ((hi -. x) /. delta, At_upper) else None)
@@ -683,7 +687,7 @@ let phase1_costs_shift st (alpha : Basis.Svec.t) ~row ~dir ~step =
         let b = st.basis.(i) in
         let x0 = st.xval.(b) in
         let x1 = x0 -. (a *. dir *. step) in
-        let lo = st.lb.(b) -. st.feas_tol and hi = st.ub.(b) +. st.feas_tol in
+        let lo = st.lb.(b) -. feas_tol and hi = st.ub.(b) +. feas_tol in
         let cat x = if x < lo then -1 else if x > hi then 1 else 0 in
         if cat x0 <> cat x1 then shifted := true
       end
@@ -886,8 +890,8 @@ let create_workspace () =
     ws_cl_mark = [||];
   }
 
-let initial_state ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?lb_override ?ub_override ?basis ?ws
-    ~pricing ~degen_limit ~devex_reset_period ~trace ~backend (std : Model.std) =
+let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit
+    ~devex_reset_period ~trace ~backend (std : Model.std) =
   let m = std.nrows in
   let nvars = std.nvars in
   let ntotal = nvars + m in
@@ -971,9 +975,6 @@ let initial_state ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?lb_override ?ub_overrid
       xval = w.ws_xval;
       basis = basis_arr;
       fac = Basis.create backend ~m;
-      feas_tol;
-      dual_tol;
-      pivot_tol = 1e-9;
       bland = false;
       degenerate_run = 0;
       degen_limit;
@@ -1048,7 +1049,7 @@ let kernel_stats_of st =
    through to the ordinary primal phase 1. *)
 let dual_feasible_now st =
   ensure_prices st ~phase1:false;
-  let tol = 10.0 *. st.dual_tol in
+  let tol = 10.0 *. dual_tol in
   let ok = ref true in
   let j = ref 0 in
   while !ok && !j < st.ntotal do
@@ -1166,7 +1167,7 @@ let dual_phase st ~max_iters =
         let b = st.basis.(r) in
         let xb = st.xval.(b) in
         let v =
-          if xb < st.lb.(b) -. st.feas_tol then xb -. st.lb.(b)
+          if xb < st.lb.(b) -. feas_tol then xb -. st.lb.(b)
           else xb -. st.ub.(b)
         in
         ensure_prices st ~phase1:false;
@@ -1184,7 +1185,7 @@ let dual_phase st ~max_iters =
           let j = st.prod_pat.(u) in
           if st.status.(j) <> Basic && st.ub.(j) -. st.lb.(j) > 0.0 then begin
             let a = st.prod.(j) in
-            if Float.abs a > st.pivot_tol then begin
+            if Float.abs a > pivot_tol then begin
               let eligible =
                 match st.status.(j) with
                 | At_lower -> v *. a > 0.0 (* entering may only increase *)
@@ -1224,7 +1225,7 @@ let dual_phase st ~max_iters =
             let j = st.cand_j.(k) in
             let range = st.ub.(j) -. st.lb.(j) in
             let boxed = st.status.(j) <> Nb_free && Float.is_finite range in
-            if boxed && !slope -. (st.cand_a.(k) *. range) > st.feas_tol then begin
+            if boxed && !slope -. (st.cand_a.(k) *. range) > feas_tol then begin
               slope := !slope -. (st.cand_a.(k) *. range);
               incr nflip
             end
@@ -1298,8 +1299,8 @@ let dual_phase st ~max_iters =
                variable's violation before pivoting on it *)
             let xb = st.xval.(b) in
             let v' =
-              if xb < st.lb.(b) -. st.feas_tol then xb -. st.lb.(b)
-              else if xb > st.ub.(b) +. st.feas_tol then xb -. st.ub.(b)
+              if xb < st.lb.(b) -. feas_tol then xb -. st.lb.(b)
+              else if xb > st.ub.(b) +. feas_tol then xb -. st.ub.(b)
               else 0.0
             in
             if v' = 0.0 || (v' < 0.0) <> (v < 0.0) then
@@ -1310,7 +1311,7 @@ let dual_phase st ~max_iters =
             else begin
               let alpha = ftran st q in
               let arq = alpha.Basis.Svec.vals.(r) in
-              if Float.abs arq < st.pivot_tol then begin
+              if Float.abs arq < pivot_tol then begin
                 (* the priced row entry and the FTRAN'd column disagree:
                    refresh the factorization, then give the primal path the
                    problem if it keeps happening *)
@@ -1343,7 +1344,7 @@ let dual_phase st ~max_iters =
                 if st.dual_valid then
                   update_prices_after_pivot st ~row:r ~q ~leaving:b ~d:dq
                     ~lshift:0.0 ~upd_dual:true ~fold_g:None;
-                if rq <= st.dual_tol then begin
+                if rq <= dual_tol then begin
                   (* dual-degenerate pivot: no dual objective progress *)
                   incr stalled;
                   if !stalled > 100 then running := false
@@ -1389,7 +1390,7 @@ let solve_unconstrained std lb ub =
         kstats = { avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0; bound_flips = 0 };
       }
 
-let solve ?max_iters ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?(pricing = Devex)
+let solve ?(pricing = Devex)
     ?(degen_limit = 100) ?(devex_reset_period = 0) ?trace ?(backend = Basis.Lu) ?ws
     ?(dual_simplex = true) ?basis ?lb ?ub (std : Model.std) =
   (* A variable fixed-range check also covers per-node bound conflicts. *)
@@ -1403,14 +1404,10 @@ let solve ?max_iters ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?(pricing = Devex)
   else if std.nrows = 0 then solve_unconstrained std lbs ubs
   else begin
     let st, warmed =
-      initial_state ~feas_tol ~dual_tol ?lb_override:lb ?ub_override:ub ?basis ?ws ~pricing
+      initial_state ?lb_override:lb ?ub_override:ub ?basis ?ws ~pricing
         ~degen_limit ~devex_reset_period ~trace ~backend std
     in
-    let max_iters =
-      match max_iters with
-      | Some n -> n
-      | None -> 20000 + (60 * (st.m + st.ntotal))
-    in
+    let max_iters = 20000 + (60 * (st.m + st.ntotal)) in
     (* Dual re-optimization: a warm basis whose bounds were tightened is
        typically primal infeasible but still dual feasible, and a handful
        of dual pivots restores optimality — the branch-and-bound child
@@ -1516,7 +1513,7 @@ let solve ?max_iters ?(feas_tol = 1e-7) ?(dual_tol = 1e-7) ?(pricing = Devex)
             clist_add st j
         | Leaving { row; step; bound } ->
           let was_bland = st.bland in
-          if step <= st.feas_tol then begin
+          if step <= feas_tol then begin
             st.degenerate_run <- st.degenerate_run + 1;
             if st.degenerate_run > st.degen_limit && not st.bland then begin
               st.bland <- true;

@@ -158,9 +158,6 @@ type result =
           [feasible]. *)
 
 val solve :
-  ?max_iters:int ->
-  ?feas_tol:float ->
-  ?dual_tol:float ->
   ?pricing:pricing ->
   ?degen_limit:int ->
   ?devex_reset_period:int ->
@@ -189,5 +186,5 @@ val solve :
     is the reference oracle used by the differential tests).
     [ws] supplies a reusable {!workspace}.  [dual_simplex:false] disables
     the dual re-optimization phase on warm starts (the differential
-    reference configuration).  Defaults: [max_iters] scales with problem
-    size, [feas_tol = 1e-7], [dual_tol = 1e-7]. *)
+    reference configuration).  The iteration budget scales with problem
+    size; the primal and dual feasibility tolerances are [1e-7]. *)

@@ -58,5 +58,3 @@ let categorical rng weights =
       if u < acc then i else loop (i + 1) acc
   in
   loop 0 0.0
-
-let bernoulli rng ~p = Rng.float rng 1.0 < p

@@ -28,6 +28,3 @@ val categorical : Rng.t -> float array -> int
 (** [categorical rng weights] picks index [i] with probability proportional
     to [weights.(i)].  Raises [Invalid_argument] if all weights are zero or
     any is negative. *)
-
-val bernoulli : Rng.t -> p:float -> bool
-(** True with probability [p]. *)

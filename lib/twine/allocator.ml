@@ -22,20 +22,25 @@ let reservation t = t.res_id
 
 let load t sid = try Hashtbl.find t.server_load sid with Not_found -> 0.0
 
-let server_capacity t (r : Broker.record) = t.rru_of r.Broker.server.Region.hw
+let server t sid = (Broker.region t.broker).Region.servers.(sid)
 
-let remaining t r = server_capacity t r -. load t r.Broker.server.Region.id
+let server_capacity t sid = t.rru_of (server t sid).Region.hw
+
+let remaining t sid = server_capacity t sid -. load t sid
 
 (* The allocator works within its reservation; elastic reservations own
    servers under the [Elastic] constructor. *)
-let owned_by_me t (r : Broker.record) =
-  match r.Broker.current with
-  | Broker.Reservation id | Broker.Elastic id -> id = t.res_id
-  | Broker.Free | Broker.Shared_buffer -> false
+let owned_by_me t sid =
+  let code = Broker.current_code t.broker sid in
+  code = Broker.owner_code (Broker.Reservation t.res_id)
+  || code = Broker.owner_code (Broker.Elastic t.res_id)
 
-let candidates t =
-  Broker.fold t.broker ~init:[] ~f:(fun acc r ->
-      if owned_by_me t r && Broker.healthy r then r :: acc else acc)
+(* [f] on every healthy server of the reservation, in descending id order
+   (the order placement ties and capacity sums have always used). *)
+let iter_candidates t f =
+  for sid = Broker.num_servers t.broker - 1 downto 0 do
+    if owned_by_me t sid && Broker.healthy_at t.broker sid then f sid
+  done
 
 let attach t c sid =
   Hashtbl.replace t.container_server (key c) sid;
@@ -68,24 +73,23 @@ let detach t c =
 let place_one t ~msb_replicas ~spread c =
   let size = c.Job.job.Job.rru_per_replica in
   let best = ref None in
-  let consider r =
-    let rem = remaining t r in
+  let consider sid =
+    let rem = remaining t sid in
     if rem >= size -. 1e-9 then begin
-      let msb = r.Broker.server.Region.loc.Region.msb in
+      let msb = (server t sid).Region.loc.Region.msb in
       let reps = try Hashtbl.find msb_replicas msb with Not_found -> 0 in
       let score = if spread then (reps, -.rem) else (0, -.rem) in
       match !best with
       | Some (bscore, _) when bscore <= score -> ()
-      | _ -> best := Some (score, r)
+      | _ -> best := Some (score, sid)
     end
   in
-  List.iter consider (candidates t);
+  iter_candidates t consider;
   match !best with
   | None -> None
-  | Some (_, r) ->
-    let sid = r.Broker.server.Region.id in
+  | Some (_, sid) ->
     attach t c sid;
-    let msb = r.Broker.server.Region.loc.Region.msb in
+    let msb = (server t sid).Region.loc.Region.msb in
     Hashtbl.replace msb_replicas msb (1 + (try Hashtbl.find msb_replicas msb with Not_found -> 0));
     Some sid
 
@@ -122,8 +126,7 @@ let create broker ~reservation ~rru_of =
   in
   let on_event = function
     | Broker.Went_down (sid, _) ->
-      let r = Broker.record broker sid in
-      if owned_by_me t r && not (Broker.healthy r) then begin
+      if owned_by_me t sid && not (Broker.healthy_at broker sid) then begin
         evict_server t sid;
         ignore (retry_pending t)
       end
@@ -164,6 +167,8 @@ let server_of_container t c = Hashtbl.find_opt t.container_server (key c)
 let used_rru t = Hashtbl.fold (fun _ l acc -> acc +. l) t.server_load 0.0
 
 let capacity_rru t =
-  List.fold_left (fun acc r -> acc +. server_capacity t r) 0.0 (candidates t)
+  let acc = ref 0.0 in
+  iter_candidates t (fun sid -> acc := !acc +. server_capacity t sid);
+  !acc
 
 let servers_in_use t = Hashtbl.fold (fun sid _ acc -> sid :: acc) t.server_containers []

@@ -62,5 +62,3 @@ val default_catalog : t list
 (** Thirty services echoing Fig. 13's top-30: a few very large generation-
     sensitive services, storage and cache tiers, one ML service pinned to a
     datacenter, two Presto services, and a tail of generic services. *)
-
-val profile_name : profile -> string

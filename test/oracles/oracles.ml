@@ -1,12 +1,13 @@
-(* The original O(servers) implementations, kept verbatim (modulo reading
+(* The original O(servers) implementations, kept as differential oracles
+   (reading server state through the broker and snapshot column accessors,
    loans through the public [Online_mover.home_of] and owners through
-   [Reservation.owner]) as differential oracles: two tier-1 policies for
-   the reactive production paths, and the per-server concretizer for the
-   delta one.  They materialize per-server records, lists or tables on
-   every call; they live with the tests because nothing in the program may
-   scan the region on the event path or per solve.  The table-keyed LP
-   rounding and repair at the end are the same kind of oracle for the
-   pair-indexed formulation heuristics. *)
+   [Reservation.owner]): two tier-1 policies for the reactive production
+   paths, the list-grouping symmetry build for the streaming one, and the
+   per-server concretizer for the delta one.  They scan the region or build
+   per-server lists and tables on every call; they live with the tests
+   because nothing in the program may scan the region on the event path or
+   per solve.  The table-keyed LP rounding and repair at the end are the
+   same kind of oracle for the pair-indexed formulation heuristics. *)
 
 open Ras
 module Broker = Ras_broker.Broker
@@ -17,39 +18,41 @@ module Region = Ras_topology.Region
    whose home is the shared buffer.  Score: same subtype first, buffer
    before loans, idle before in-use, lowest id. *)
 let find_replacement_reference broker mover res ~failed_hw =
-  let candidate_score (r : Broker.record) ~lent =
+  let servers = (Broker.region broker).Region.servers in
+  let candidate_score id ~lent =
     (* a lent server may be reclaimed even while running opportunistic
        containers — that is the elastic contract (§3.4) *)
-    if (not (Broker.healthy r)) || (r.Broker.in_use && not lent) then None
+    let in_use = Broker.in_use_at broker id in
+    if (not (Broker.healthy_at broker id)) || (in_use && not lent) then None
     else begin
-      let hw = r.Broker.server.Region.hw in
+      let hw = servers.(id).Region.hw in
       if res.Reservation.rru_of hw <= 0.0 then None
       else begin
         let same_subtype = hw.Ras_topology.Hardware.index = failed_hw in
         Some
           ( (if same_subtype then 0 else 1),
             (if lent then 1 else 0),
-            (if r.Broker.in_use then 1 else 0),
-            r.Broker.server.Region.id )
+            (if in_use then 1 else 0),
+            id )
       end
     end
   in
   let best = ref None in
-  Broker.iter broker ~f:(fun r ->
-      let id = r.Broker.server.Region.id in
-      let scored =
-        match r.Broker.current with
-        | Broker.Shared_buffer -> candidate_score r ~lent:false
-        | Broker.Elastic _ when Online_mover.home_of mover id = Some Broker.Shared_buffer ->
-          candidate_score r ~lent:true
-        | Broker.Free | Broker.Reservation _ | Broker.Elastic _ -> None
-      in
-      match scored with
-      | Some score -> (
-        match !best with
-        | Some (s, _) when s <= score -> ()
-        | _ -> best := Some (score, id))
-      | None -> ());
+  for id = 0 to Broker.num_servers broker - 1 do
+    let scored =
+      match Broker.current_owner broker id with
+      | Broker.Shared_buffer -> candidate_score id ~lent:false
+      | Broker.Elastic _ when Online_mover.home_of mover id = Some Broker.Shared_buffer ->
+        candidate_score id ~lent:true
+      | Broker.Free | Broker.Reservation _ | Broker.Elastic _ -> None
+    in
+    match scored with
+    | Some score -> (
+      match !best with
+      | Some (s, _) when s <= score -> ()
+      | _ -> best := Some (score, id))
+    | None -> ()
+  done;
   Option.map snd !best
 
 (* The full-scan emergency grant: ascending server id, free pool first,
@@ -58,21 +61,26 @@ let find_replacement_reference broker mover res ~failed_hw =
 let grant_reference broker ~reservation ~rru ~allow_buffer : Emergency.grant =
   let owner = Broker.Reservation reservation.Reservation.id in
   let granted = ref 0.0 and servers = ref [] and from_buffer = ref 0 and visited = ref 0 in
+  let region = Broker.region broker in
   let try_take ~source =
-    Broker.iter broker ~f:(fun r ->
-        incr visited;
-        if !granted < rru && r.Broker.current = source && Broker.healthy r && not r.Broker.in_use
-        then begin
-          let v = reservation.Reservation.rru_of r.Broker.server.Region.hw in
-          if v > 0.0 then begin
-            let id = r.Broker.server.Region.id in
-            Broker.move broker id owner;
-            Broker.set_target broker id owner;
-            granted := !granted +. v;
-            servers := id :: !servers;
-            if source = Broker.Shared_buffer then incr from_buffer
-          end
-        end)
+    for id = 0 to Broker.num_servers broker - 1 do
+      incr visited;
+      if
+        !granted < rru
+        && Broker.current_owner broker id = source
+        && Broker.healthy_at broker id
+        && not (Broker.in_use_at broker id)
+      then begin
+        let v = reservation.Reservation.rru_of region.Region.servers.(id).Region.hw in
+        if v > 0.0 then begin
+          Broker.move broker id owner;
+          Broker.set_target broker id owner;
+          granted := !granted +. v;
+          servers := id :: !servers;
+          if source = Broker.Shared_buffer then incr from_buffer
+        end
+      end
+    done
   in
   try_take ~source:Broker.Free;
   if !granted < rru && allow_buffer then try_take ~source:Broker.Shared_buffer;
@@ -83,6 +91,62 @@ let grant_reference broker ~reservation ~rru ~allow_buffer : Emergency.grant =
     took_from_buffer = !from_buffer;
     visited = !visited;
   }
+
+(* The pre-streaming symmetry build: member-id lists grouped under a
+   (msb, rack, hardware, in-use, attribute) tuple key, classes in sorted key
+   order, owner histograms counted by scanning each class's members. *)
+let symmetry_reference ?(rack_level = false) ?owners (snapshot : Snapshot.t) =
+  let keep id =
+    match owners with
+    | None -> true
+    | Some owners -> List.mem (Snapshot.current snapshot id) owners
+  in
+  let groups = Hashtbl.create 256 in
+  for id = 0 to Snapshot.num_servers snapshot - 1 do
+    if Snapshot.usable_at snapshot id && keep id then begin
+      let s = Snapshot.server snapshot id in
+      let loc = s.Region.loc in
+      let key =
+        ( loc.Region.msb,
+          (if rack_level then loc.Region.rack else -1),
+          s.Region.hw.Ras_topology.Hardware.index,
+          Snapshot.in_use_at snapshot id,
+          Snapshot.attr_at snapshot id )
+      in
+      match Hashtbl.find_opt groups key with
+      | Some members -> members := id :: !members
+      | None -> Hashtbl.replace groups key (ref [ id ])
+    end
+  done;
+  let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) groups []) in
+  let classes =
+    Array.of_list
+      (List.mapi
+         (fun index ((msb, rack, hw, in_use, attr) as key) ->
+           {
+             Symmetry.index;
+             msb;
+             rack = (if rack >= 0 then Some rack else None);
+             hw;
+             in_use;
+             attr;
+             members = Array.of_list (List.sort compare !(Hashtbl.find groups key));
+           })
+         keys)
+  in
+  let owner_counts =
+    Array.map
+      (fun (c : Symmetry.cls) ->
+        let h = Hashtbl.create 8 in
+        Array.iter
+          (fun id ->
+            let code = Snapshot.current_code snapshot id in
+            Hashtbl.replace h code (1 + Option.value (Hashtbl.find_opt h code) ~default:0))
+          c.Symmetry.members;
+        h)
+      classes
+  in
+  { Symmetry.classes; region = snapshot.Snapshot.region; snapshot; owner_counts }
 
 (* The list-and-table concretizer: a target for every classed server,
    moves where the target differs from the snapshot owner.  Both lists

@@ -1,6 +1,7 @@
 (** Reference implementations kept as differential oracles: the
     tier-1 policies behind {!Ras.Online_mover.find_replacement} and
-    {!Ras.Emergency.grant}, the per-server concretizer behind
+    {!Ras.Emergency.grant}, the list-grouping build behind
+    {!Ras.Symmetry.build}, the per-server concretizer behind
     {!Ras.Concretize.plan}, and the table-keyed LP rounding and repair
     behind {!Ras.Formulation.round_lp} and {!Ras.Formulation.repair}.
     Built only from the public API; the scans are O(servers) per call by
@@ -23,6 +24,14 @@ val grant_reference :
 (** The full-scan emergency grant: binds servers in ascending id, free
     pool first, then the shared buffer when [allow_buffer]; [visited]
     counts every server of every scanned source. *)
+
+val symmetry_reference :
+  ?rack_level:bool -> ?owners:Ras_broker.Broker.owner list -> Ras.Snapshot.t -> Ras.Symmetry.t
+(** The pre-streaming {!Ras.Symmetry.build}: usable servers (whose snapshot
+    owner is in [owners], when given) grouped into id lists under a tuple
+    key, classes in sorted key order, owner histograms counted by scanning
+    members.  {!Ras.Symmetry.build} must agree with it class-for-class,
+    member-for-member. *)
 
 val concretize_reference :
   Ras.Formulation.t ->

@@ -15,6 +15,13 @@ module Unavail = Ras_failures.Unavail
 module Model = Ras_mip.Model
 module Simplex = Ras_mip.Simplex
 
+let hw_of broker id = (Broker.region broker).Region.servers.(id).Region.hw
+
+(* Server ids where [f] holds, in descending order. *)
+let ids_desc_where broker f =
+  let n = Broker.num_servers broker in
+  List.filter f (List.init n (fun i -> n - 1 - i))
+
 let web = Service.make ~id:1 ~name:"web" ~profile:Service.Web ()
 let ds = Service.make ~id:2 ~name:"ds" ~profile:Service.Data_store ()
 
@@ -81,16 +88,17 @@ let test_snapshot_ownership_accounting () =
   let res = Reservation.of_request (Capacity_request.make ~id:1 ~service:web ~rru:5.0 ()) in
   (* bind two compute servers *)
   let bound = ref [] in
-  Broker.iter broker ~f:(fun r ->
-      if List.length !bound < 2 && res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then begin
-        Broker.move broker r.Broker.server.Region.id (Broker.Reservation 1);
-        bound := r.Broker.server.Region.id :: !bound
-      end);
+  for id = 0 to Broker.num_servers broker - 1 do
+    if List.length !bound < 2 && res.Reservation.rru_of (hw_of broker id) > 0.0 then begin
+      Broker.move broker id (Broker.Reservation 1);
+      bound := id :: !bound
+    end
+  done;
   let snap = Snapshot.take broker [ res ] in
   let expected =
     List.fold_left
       (fun acc id ->
-        acc +. res.Reservation.rru_of (Broker.record broker id).Broker.server.Region.hw)
+        acc +. res.Reservation.rru_of (hw_of broker id))
       0.0 !bound
   in
   Alcotest.(check (float 1e-9)) "current rru" expected (Snapshot.current_rru snap res);
@@ -102,9 +110,9 @@ let test_snapshot_excludes_unusable () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
   let res = Reservation.of_request (Capacity_request.make ~id:1 ~service:web ~rru:5.0 ()) in
-  Broker.iter broker ~f:(fun r ->
-      if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
-        Broker.move broker r.Broker.server.Region.id (Broker.Reservation 1));
+  for id = 0 to Broker.num_servers broker - 1 do
+    if res.Reservation.rru_of (hw_of broker id) > 0.0 then Broker.move broker id (Broker.Reservation 1)
+  done;
   let before = Snapshot.current_rru (Snapshot.take broker [ res ]) res in
   (* down one bound server with an unplanned event *)
   let victim =
@@ -135,17 +143,17 @@ let test_symmetry_partition () =
   let lazy { broker; reservations; _ } = fixture in
   let snap = Snapshot.take broker reservations in
   let sym = Symmetry.build snap in
-  let usable = List.length (Snapshot.usable_servers snap) in
+  let usable = Array.fold_left ( + ) 0 (Snapshot.usable_hw_histogram snap) in
   Alcotest.(check int) "classes cover usable servers" usable (Symmetry.total_members sym);
   (* members are homogeneous *)
   Array.iter
     (fun (c : Symmetry.cls) ->
       Array.iter
         (fun id ->
-          let v = Snapshot.view snap id in
-          Alcotest.(check int) "hw matches" c.Symmetry.hw v.Snapshot.server.Region.hw.Hw.index;
-          Alcotest.(check int) "msb matches" c.Symmetry.msb v.Snapshot.server.Region.loc.Region.msb;
-          Alcotest.(check bool) "in_use matches" c.Symmetry.in_use v.Snapshot.in_use)
+          let s = Snapshot.server snap id in
+          Alcotest.(check int) "hw matches" c.Symmetry.hw s.Region.hw.Hw.index;
+          Alcotest.(check int) "msb matches" c.Symmetry.msb s.Region.loc.Region.msb;
+          Alcotest.(check bool) "in_use matches" c.Symmetry.in_use (Snapshot.in_use_at snap id))
         c.Symmetry.members)
     sym.Symmetry.classes
 
@@ -173,8 +181,9 @@ let test_symmetry_current_count () =
       0 sym.Symmetry.classes
   in
   let direct =
-    Broker.fold broker ~init:0 ~f:(fun acc r ->
-        if r.Broker.current = owner && Broker.available r then acc + 1 else acc)
+    List.length
+      (ids_desc_where broker (fun id ->
+           Broker.current_owner broker id = owner && Broker.available_at broker id))
   in
   Alcotest.(check int) "class counts match broker" direct from_classes
 
@@ -384,10 +393,8 @@ let test_solver_duration_and_phases () =
   Alcotest.(check bool) "raw >= grouped" true
     (stats.Async_solver.phase1.Phases.raw_vars >= stats.Async_solver.phase1.Phases.grouped_vars)
 
-(* The two-phase merge: with rack-spread limits phase 2 re-places the worst
-   reservations on top of phase 1, and the merged plan must be the snapshot
-   diffed against phase 1's reference targets overlaid by phase 2's. *)
-let test_solver_merge_matches_oracle () =
+(* A region whose rack-spread limits send reservations to phase 2. *)
+let phase2_world () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
   let rng = Ras_stats.Rng.create 11 in
@@ -404,9 +411,20 @@ let test_solver_merge_matches_oracle () =
     @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
   in
   ignore (Ras_twine.Greedy.fulfill broker requests);
-  let snapshot = Snapshot.take broker reservations in
-  let params = { Async_solver.default_params with Async_solver.node_limit = 40 } in
-  let stats = Async_solver.solve ~params snapshot in
+  (Snapshot.take broker reservations, reservations)
+
+let phase2_params = { Async_solver.default_params with Async_solver.node_limit = 40 }
+
+let phase2_solve =
+  lazy
+    (let snapshot, _ = phase2_world () in
+     (snapshot, Async_solver.solve ~params:phase2_params snapshot))
+
+(* The two-phase merge: phase 2 re-places the worst reservations on top of
+   phase 1, and the merged plan must be the snapshot diffed against phase
+   1's reference targets overlaid by phase 2's. *)
+let test_solver_merge_matches_oracle () =
+  let snapshot, stats = Lazy.force phase2_solve in
   let phase2 =
     match stats.Async_solver.phase2 with
     | Some p2 -> p2
@@ -438,6 +456,44 @@ let test_solver_merge_matches_oracle () =
   (* both phases' formulations, phase 2's rack-level, heuristics included *)
   check_heuristics_match "phase 1" stats.Async_solver.phase1.Phases.formulation;
   check_heuristics_match "phase 2" phase2.Phases.formulation
+
+(* Phase 2 classes only servers owned, after phase 1, by the free pool or by
+   a reservation it refines. *)
+let test_phase2_classes_selected_owners () =
+  let _, stats = Lazy.force phase2_solve in
+  match stats.Async_solver.phase2 with
+  | None -> Alcotest.fail "rack-spread limits should send reservations to phase 2"
+  | Some p2 ->
+    let f = p2.Phases.formulation in
+    let sym = f.Formulation.symmetry in
+    let owners = Broker.Free :: List.map Reservation.owner f.Formulation.reservations in
+    Alcotest.(check bool) "phase 2 classes some servers" true (Symmetry.total_members sym > 0);
+    Array.iter
+      (fun (c : Symmetry.cls) ->
+        Array.iter
+          (fun id ->
+            Alcotest.(check bool) "member owned by Free or a selected reservation" true
+              (List.mem (Snapshot.current sym.Symmetry.snapshot id) owners))
+          c.Symmetry.members)
+      sym.Symmetry.classes
+
+(* [~owners] confines both phases: no server outside the owner set moves. *)
+let test_solver_owner_filter () =
+  let snapshot, reservations = phase2_world () in
+  let kept = List.filteri (fun i _ -> i mod 2 = 0) reservations in
+  let owners = Broker.Free :: List.map Reservation.owner kept in
+  let stats = Async_solver.solve ~params:phase2_params ~owners snapshot in
+  let moves = stats.Async_solver.plan.Concretize.moves in
+  Alcotest.(check bool) "the plan moves servers" true (moves <> []);
+  Alcotest.(check bool) "some servers lie outside the owner set" true
+    (List.exists
+       (fun id -> not (List.mem (Snapshot.current snapshot id) owners))
+       (List.init (Snapshot.num_servers snapshot) Fun.id));
+  List.iter
+    (fun (m : Concretize.move) ->
+      Alcotest.(check bool) "moved server's snapshot owner is in the set" true
+        (List.mem (Snapshot.current snapshot m.Concretize.server) owners))
+    moves
 
 (* ---------- storage quorum spread (paragraph 3.3.2) ---------- *)
 
@@ -486,10 +542,7 @@ let test_mover_failure_replacement () =
   Online_mover.set_reservations mover [ res ];
   (* one server in the reservation, one compatible in the shared buffer *)
   let compute =
-    Broker.fold broker ~init:[] ~f:(fun acc r ->
-        if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
-          r.Broker.server.Region.id :: acc
-        else acc)
+    ids_desc_where broker (fun id -> res.Reservation.rru_of (hw_of broker id) > 0.0)
   in
   (match compute with
   | a :: b :: _ ->
@@ -498,7 +551,7 @@ let test_mover_failure_replacement () =
     Broker.mark_down broker a Unavail.Unplanned_hw;
     Alcotest.(check int) "replacement done" 1 (Online_mover.replacements_done mover);
     Alcotest.(check bool) "buffer server moved in" true
-      ((Broker.record broker b).Broker.current = Broker.Reservation 1)
+      (Broker.current_owner broker b = Broker.Reservation 1)
   | _ -> Alcotest.fail "fixture too small")
 
 (* [apply_plan] writes a target for each planned move, applied or not, and
@@ -516,17 +569,46 @@ let test_mover_apply_plan_contract () =
     { Concretize.server; from_ = Broker.Free; to_ = Broker.Reservation 1; was_in_use = server = 0 }
   in
   let stats = Online_mover.apply_plan mover { Concretize.moves = [ move 0; move 1 ] } in
-  let r0 = Broker.record broker 0 and r1 = Broker.record broker 1 and r2 = Broker.record broker 2 in
-  Alcotest.(check bool) "applied move: current = to_" true (r0.Broker.current = Broker.Reservation 1);
-  Alcotest.(check bool) "applied move: target = to_" true (r0.Broker.target = Broker.Reservation 1);
+  let current id = Broker.current_owner broker id in
+  let target id = Broker.owner_of_code (Broker.target_code broker id) in
+  Alcotest.(check bool) "applied move: current = to_" true (current 0 = Broker.Reservation 1);
+  Alcotest.(check bool) "applied move: target = to_" true (target 0 = Broker.Reservation 1);
   Alcotest.(check int) "applied in-use move counted" 1 stats.Online_mover.moved_in_use;
   Alcotest.(check (list int)) "in-use server preempted" [ 0 ] !preempted;
-  Alcotest.(check bool) "skipped move: current unchanged" true (r1.Broker.current = Broker.Free);
-  Alcotest.(check bool) "skipped move: target = to_" true (r1.Broker.target = Broker.Reservation 1);
+  Alcotest.(check bool) "skipped move: current unchanged" true (current 1 = Broker.Free);
+  Alcotest.(check bool) "skipped move: target = to_" true (target 1 = Broker.Reservation 1);
   Alcotest.(check int) "skipped move counted" 1 stats.Online_mover.skipped_unavailable;
   Alcotest.(check int) "no idle move" 0 stats.Online_mover.moved_unused;
   Alcotest.(check bool) "server outside the plan keeps its target" true
-    (r2.Broker.target = Broker.Reservation 7 && r2.Broker.current = Broker.Free)
+    (target 2 = Broker.Reservation 7 && current 2 = Broker.Free)
+
+(* [apply_plan] is compare-and-set: a server bound elsewhere since the
+   snapshot keeps its owner and target; a lent server is compared by its
+   home owner. *)
+let test_mover_apply_plan_compare_and_set () =
+  let region = Generator.generate Generator.small_params in
+  let broker = Broker.create region in
+  let mover = Online_mover.create broker in
+  let plan server from_ =
+    { Concretize.moves = [ { Concretize.server; from_; to_ = Broker.Reservation 1; was_in_use = false } ] }
+  in
+  (* a tier-1 write binds server 0 to R2 after the plan's snapshot *)
+  Broker.move broker 0 (Broker.Reservation 2);
+  Broker.set_target broker 0 (Broker.Reservation 2);
+  let stats = Online_mover.apply_plan mover (plan 0 Broker.Free) in
+  Alcotest.(check int) "conflict counted" 1 stats.Online_mover.conflicts;
+  Alcotest.(check int) "nothing moved" 0
+    (stats.Online_mover.moved_in_use + stats.Online_mover.moved_unused);
+  Alcotest.(check bool) "owner kept" true (Broker.current_owner broker 0 = Broker.Reservation 2);
+  Alcotest.(check bool) "target kept" true
+    (Broker.target_code broker 0 = Broker.owner_code (Broker.Reservation 2));
+  (* a lent buffer server: the snapshot saw its home, the shared buffer *)
+  Broker.move broker 1 Broker.Shared_buffer;
+  Alcotest.(check int) "lent" 1 (Online_mover.lend_idle mover ~elastic_id:9000 ~max_servers:1);
+  let stats = Online_mover.apply_plan mover (plan 1 Broker.Shared_buffer) in
+  Alcotest.(check int) "no conflict" 0 stats.Online_mover.conflicts;
+  Alcotest.(check bool) "lent server moved" true (Broker.current_owner broker 1 = Broker.Reservation 1);
+  Alcotest.(check int) "loan ended" 0 (Online_mover.loans_outstanding mover)
 
 let test_mover_replacement_fails_without_buffer () =
   let region = Generator.generate Generator.small_params in
@@ -559,13 +641,13 @@ let test_mover_lend_and_revoke () =
   Alcotest.(check int) "both lent" 2 lent;
   Alcotest.(check int) "loans tracked" 2 (Online_mover.loans_outstanding mover);
   Alcotest.(check bool) "owner is elastic" true
-    ((Broker.record broker 0).Broker.current = Broker.Elastic 9000);
+    (Broker.current_owner broker 0 = Broker.Elastic 9000);
   Alcotest.(check bool) "home resolved" true
     (Online_mover.home_of mover 0 = Some Broker.Shared_buffer);
   let revoked = Online_mover.revoke mover ~elastic_id:9000 in
   Alcotest.(check int) "revoked" 2 revoked;
   Alcotest.(check bool) "back home" true
-    ((Broker.record broker 0).Broker.current = Broker.Shared_buffer);
+    (Broker.current_owner broker 0 = Broker.Shared_buffer);
   Alcotest.(check int) "no loans left" 0 (Online_mover.loans_outstanding mover)
 
 let test_mover_replacement_revokes_loan () =
@@ -575,10 +657,7 @@ let test_mover_replacement_revokes_loan () =
   let mover = Online_mover.create broker in
   Online_mover.set_reservations mover [ res ];
   let compute =
-    Broker.fold broker ~init:[] ~f:(fun acc r ->
-        if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
-          r.Broker.server.Region.id :: acc
-        else acc)
+    ids_desc_where broker (fun id -> res.Reservation.rru_of (hw_of broker id) > 0.0)
   in
   match compute with
   | a :: b :: _ ->
@@ -586,10 +665,10 @@ let test_mover_replacement_revokes_loan () =
     Broker.move broker b Broker.Shared_buffer;
     ignore (Online_mover.lend_idle mover ~elastic_id:9000 ~max_servers:5);
     Alcotest.(check bool) "b lent out" true
-      ((Broker.record broker b).Broker.current = Broker.Elastic 9000);
+      (Broker.current_owner broker b = Broker.Elastic 9000);
     Broker.mark_down broker a Unavail.Unplanned_hw;
     Alcotest.(check bool) "loan revoked for replacement" true
-      ((Broker.record broker b).Broker.current = Broker.Reservation 1)
+      (Broker.current_owner broker b = Broker.Reservation 1)
   | _ -> Alcotest.fail "fixture too small"
 
 let test_solver_converges_to_stability () =
@@ -629,10 +708,7 @@ let test_mover_replacement_sla () =
   let mover = Online_mover.create ~engine broker in
   Online_mover.set_reservations mover [ res ];
   let compute =
-    Broker.fold broker ~init:[] ~f:(fun acc r ->
-        if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
-          r.Broker.server.Region.id :: acc
-        else acc)
+    ids_desc_where broker (fun id -> res.Reservation.rru_of (hw_of broker id) > 0.0)
   in
   match compute with
   | a :: b :: _ ->
@@ -681,16 +757,15 @@ let test_health_overlap_severity () =
   in
   let _ = Health.install engine broker events in
   Ras_sim.Engine.run_until engine 1.5;
-  Alcotest.(check bool) "planned active" true
-    ((Broker.record broker 0).Broker.down = Some Unavail.Planned_maintenance);
+  (* planned maintenance is the one unhealthy state that stays available *)
+  let planned () = (not (Broker.healthy_at broker 0)) && Broker.available_at broker 0 in
+  Alcotest.(check bool) "planned active" true (planned ());
   Ras_sim.Engine.run_until engine 3.0;
-  Alcotest.(check bool) "correlated overrides" true
-    ((Broker.record broker 0).Broker.down = Some Unavail.Correlated);
+  Alcotest.(check bool) "correlated overrides" false (Broker.available_at broker 0);
   Ras_sim.Engine.run_until engine 5.0;
-  Alcotest.(check bool) "falls back to planned" true
-    ((Broker.record broker 0).Broker.down = Some Unavail.Planned_maintenance);
+  Alcotest.(check bool) "falls back to planned" true (planned ());
   Ras_sim.Engine.run_until engine 12.0;
-  Alcotest.(check bool) "healthy at the end" true (Broker.healthy (Broker.record broker 0))
+  Alcotest.(check bool) "healthy at the end" true (Broker.healthy_at broker 0)
 
 (* ---------- Emergency ---------- *)
 
@@ -705,7 +780,7 @@ let test_emergency_grant () =
   List.iter
     (fun id ->
       Alcotest.(check bool) "bound directly" true
-        ((Broker.record broker id).Broker.current = Broker.Reservation 1))
+        (Broker.current_owner broker id = Broker.Reservation 1))
     grant.Emergency.servers
 
 let test_emergency_buffer_opt_in () =
@@ -713,9 +788,9 @@ let test_emergency_buffer_opt_in () =
   let broker = Broker.create region in
   (* put ALL compute in the shared buffer so the free pool cannot satisfy *)
   let res = Reservation.of_request (Capacity_request.make ~id:1 ~service:web ~rru:2.0 ()) in
-  Broker.iter broker ~f:(fun r ->
-      if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
-        Broker.move broker r.Broker.server.Region.id Broker.Shared_buffer);
+  for id = 0 to Broker.num_servers broker - 1 do
+    if res.Reservation.rru_of (hw_of broker id) > 0.0 then Broker.move broker id Broker.Shared_buffer
+  done;
   let reactive = Reactive.create broker in
   let no_buffer = Emergency.grant ~reactive broker ~reservation:res ~rru:2.0 ~allow_buffer:false in
   Alcotest.(check (float 1e-9)) "nothing without opt-in" 0.0 no_buffer.Emergency.granted_rru;
@@ -749,11 +824,10 @@ let test_solve_repairs_emergency_damage () =
   (* occupy the free compute pool so the urgent grant must dip into the
      shared buffer *)
   let urgent = Reservation.of_request (Capacity_request.make ~id:99 ~service:web ~rru:8.0 ()) in
-  Broker.iter broker ~f:(fun r ->
-      if
-        r.Broker.current = Broker.Free
-        && urgent.Reservation.rru_of r.Broker.server.Region.hw > 0.0
-      then Broker.move broker r.Broker.server.Region.id (Broker.Reservation 77));
+  for id = 0 to Broker.num_servers broker - 1 do
+    if Broker.current_owner broker id = Broker.Free && urgent.Reservation.rru_of (hw_of broker id) > 0.0
+    then Broker.move broker id (Broker.Reservation 77)
+  done;
   let grant =
     Emergency.grant ~reactive:(Online_mover.reactive mover) broker ~reservation:urgent ~rru:8.0
       ~allow_buffer:true
@@ -764,9 +838,9 @@ let test_solve_repairs_emergency_damage () =
   Alcotest.(check bool) "buffer depleted" true (drained < before);
   (* release the artificial squatter, then the next solve (with the urgent
      reservation now a first-class citizen) refills the shared buffer *)
-  Broker.iter broker ~f:(fun r ->
-      if r.Broker.current = Broker.Reservation 77 then
-        Broker.move broker r.Broker.server.Region.id Broker.Free);
+  List.iter
+    (fun id -> Broker.move broker id Broker.Free)
+    (Broker.servers_with_owner broker (Broker.Reservation 77));
   let reservations' = urgent :: reservations in
   Online_mover.set_reservations mover reservations';
   let stats = Async_solver.solve ~params (Snapshot.take broker reservations') in
@@ -929,10 +1003,13 @@ let suite =
     Alcotest.test_case "embedded buffer survives any MSB" `Slow test_embedded_buffer_survives_any_msb;
     Alcotest.test_case "solver duration/phases" `Slow test_solver_duration_and_phases;
     Alcotest.test_case "solver two-phase merge matches oracle" `Slow test_solver_merge_matches_oracle;
+    Alcotest.test_case "solver phase 2 classes selected owners" `Slow test_phase2_classes_selected_owners;
+    Alcotest.test_case "solver owner filter" `Slow test_solver_owner_filter;
     Alcotest.test_case "quorum cap helper" `Quick test_quorum_cap_helper;
     Alcotest.test_case "quorum spread enforced" `Slow test_quorum_spread_enforced;
     Alcotest.test_case "mover failure replacement" `Quick test_mover_failure_replacement;
     Alcotest.test_case "mover apply_plan contract" `Quick test_mover_apply_plan_contract;
+    Alcotest.test_case "mover apply_plan compare-and-set" `Quick test_mover_apply_plan_compare_and_set;
     Alcotest.test_case "mover replacement fails w/o buffer" `Quick test_mover_replacement_fails_without_buffer;
     Alcotest.test_case "mover ignores planned" `Quick test_mover_planned_no_replacement;
     Alcotest.test_case "mover lend and revoke" `Quick test_mover_lend_and_revoke;

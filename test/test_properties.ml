@@ -151,15 +151,35 @@ let prop_aggregation_invariants =
     (fun seed ->
       let snapshot, reservations = aggregation_scenario seed in
       let sym = Symmetry.build snapshot in
-      let reference = Symmetry.build_reference snapshot in
-      (* 1. the streaming build matches the materializing oracle *)
-      let matches_reference =
-        Symmetry.num_classes sym = Symmetry.num_classes reference
+      (* 1. the streaming build matches the list-grouping oracle, over every
+         owner and over a seed-chosen owner set (the phase-2 and gradual
+         enablement filter), down to the compiled model *)
+      let same_classes (a : Symmetry.t) (b : Symmetry.t) =
+        Symmetry.num_classes a = Symmetry.num_classes b
         && Array.for_all2
              (fun (a : Symmetry.cls) (b : Symmetry.cls) ->
                Symmetry.class_name a = Symmetry.class_name b
                && a.Symmetry.members = b.Symmetry.members)
-             sym.Symmetry.classes reference.Symmetry.classes
+             a.Symmetry.classes b.Symmetry.classes
+      in
+      let owner_rng = Ras_stats.Rng.create (seed lxor 0x0e5) in
+      let kept =
+        List.filter (fun _ -> Ras_stats.Rng.bool owner_rng) reservations
+      in
+      let owners = Broker.Free :: List.map Reservation.owner kept in
+      let compiled ~rack_level sym reservations =
+        Model.compile (Formulation.build ~rack_level sym reservations).Formulation.model
+      in
+      let matches_reference =
+        same_classes sym (Oracles.symmetry_reference snapshot)
+        &&
+        let filtered = Symmetry.build ~rack_level:true ~owners snapshot in
+        let reference = Oracles.symmetry_reference ~rack_level:true ~owners snapshot in
+        same_classes filtered reference
+        && compare
+             (compiled ~rack_level:true filtered kept)
+             (compiled ~rack_level:true reference kept)
+           = 0
       in
       (* 2. class counts sum to the usable server count *)
       let usable = ref 0 in
@@ -176,11 +196,10 @@ let prop_aggregation_invariants =
             let hw = Symmetry.hw_of c in
             Array.for_all
               (fun id ->
-                let v = Snapshot.view snapshot id in
-                v.Snapshot.server.Region.hw.Ras_topology.Hardware.index
+                (Snapshot.server snapshot id).Region.hw.Ras_topology.Hardware.index
                 = hw.Ras_topology.Hardware.index
-                && v.Snapshot.in_use = c.Symmetry.in_use
-                && v.Snapshot.attr = c.Symmetry.attr)
+                && Snapshot.in_use_at snapshot id = c.Symmetry.in_use
+                && Snapshot.attr_at snapshot id = c.Symmetry.attr)
               c.Symmetry.members)
           sym.Symmetry.classes
       in

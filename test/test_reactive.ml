@@ -191,19 +191,19 @@ let storm_world () =
   (* bind some compute to the reservation, park some in the buffer *)
   let bound = ref [] in
   let count_res = ref 0 and count_buf = ref 0 in
-  Broker.iter broker ~f:(fun r ->
-      if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then begin
-        let id = r.Broker.server.Region.id in
-        if !count_res < 10 then begin
-          Broker.move broker id (Broker.Reservation 1);
-          bound := id :: !bound;
-          incr count_res
-        end
-        else if !count_buf < 6 then begin
-          Broker.move broker id Broker.Shared_buffer;
-          incr count_buf
-        end
-      end);
+  for id = 0 to Broker.num_servers broker - 1 do
+    if res.Reservation.rru_of (Broker.region broker).Region.servers.(id).Region.hw > 0.0 then begin
+      if !count_res < 10 then begin
+        Broker.move broker id (Broker.Reservation 1);
+        bound := id :: !bound;
+        incr count_res
+      end
+      else if !count_buf < 6 then begin
+        Broker.move broker id Broker.Shared_buffer;
+        incr count_buf
+      end
+    end
+  done;
   (broker, res, mover, List.rev !bound)
 
 (* The reactive pick may differ from the oracle's server, but only inside
@@ -352,11 +352,11 @@ let test_replace_failed_releases_dead_server () =
   Alcotest.(check int) "one replacement" 1 (Online_mover.replacements_done mover);
   (* the swap: replacement in, dead server out to the shared buffer *)
   Alcotest.(check bool) "replacement bound" true
-    ((Broker.record broker 1).Broker.current = Broker.Reservation 1);
+    (Broker.current_owner broker 1 = Broker.Reservation 1);
   Alcotest.(check bool) "dead server released to the buffer" true
-    ((Broker.record broker 0).Broker.current = Broker.Shared_buffer);
+    (Broker.current_owner broker 0 = Broker.Shared_buffer);
   Alcotest.(check bool) "target follows" true
-    ((Broker.record broker 0).Broker.target = Broker.Shared_buffer);
+    (Broker.target_code broker 0 = Broker.owner_code Broker.Shared_buffer);
   Alcotest.(check int) "no double-counted membership" owned_before
     (Broker.count_owner broker (Broker.Reservation 1));
   (* the accounting the solver sees: symmetry's current-owner histograms
@@ -445,11 +445,12 @@ let test_tier1_repair_drift_bounded () =
     | None -> ());
     (* deterministic storm over reservation-bound servers *)
     let victims = ref [] in
-    Broker.iter broker ~f:(fun r ->
-        match r.Broker.current with
-        | Broker.Reservation rid when rid < 8000 && List.length !victims < 8 ->
-          victims := r.Broker.server.Region.id :: !victims
-        | _ -> ());
+    for id = 0 to Broker.num_servers broker - 1 do
+      match Broker.current_owner broker id with
+      | Broker.Reservation rid when rid < 8000 && List.length !victims < 8 ->
+        victims := id :: !victims
+      | _ -> ()
+    done;
     let victims = List.rev !victims in
     let repaired =
       if use_reactive then begin

@@ -7,8 +7,8 @@
    identical class structure.  That gives three pins:
 
    - equivalence: the streaming [Symmetry.build] must agree with the
-     retained pre-columnar oracle [Symmetry.build_reference] class-for-class
-     and produce the same compiled model, which must solve to the same
+     list-grouping oracle [Oracles.symmetry_reference] class-for-class, over
+     every owner and over an owner set, and produce the same compiled model, which must solve to the same
      verdict/objective under every pricing rule and both kernel backends;
    - disaggregation: a class-level solution concretized to per-server
      moves must equal the reference concretizer's, and the resulting
@@ -113,7 +113,7 @@ let check_std_equal (a : Model.std) (b : Model.std) =
 let test_streaming_matches_reference () =
   let snapshot, reservations = scale_snapshot ~servers_per_rack:1 () in
   let streamed = Symmetry.build snapshot in
-  let reference = Symmetry.build_reference snapshot in
+  let reference = Oracles.symmetry_reference snapshot in
   check_symmetry_equal streamed reference;
   (* O(1) owner histograms agree with a direct member scan *)
   let owners =
@@ -143,11 +143,20 @@ let test_streaming_matches_reference () =
     Model.compile f.Formulation.model
   in
   check_std_equal (std_of streamed) (std_of reference);
-  (* rack-level and filtered builds agree too *)
-  let filter (v : Snapshot.server_view) = v.Snapshot.server.Region.id mod 3 <> 0 in
-  check_symmetry_equal
-    (Symmetry.build ~rack_level:true ~include_server:filter snapshot)
-    (Symmetry.build_reference ~rack_level:true ~include_server:filter snapshot)
+  (* rack-level builds over an owner set (phase 2's filter: the free pool
+     plus every other reservation) agree too, down to the compiled model *)
+  let kept = List.filteri (fun i _ -> i mod 2 = 0) reservations in
+  let owners = Broker.Free :: List.map Reservation.owner kept in
+  let filtered = Symmetry.build ~rack_level:true ~owners snapshot in
+  let filtered_reference = Oracles.symmetry_reference ~rack_level:true ~owners snapshot in
+  Alcotest.(check bool) "the owner set drops some servers, keeps others" true
+    (let kept_members = Symmetry.total_members filtered in
+     kept_members > 0 && kept_members < Symmetry.total_members streamed);
+  check_symmetry_equal filtered filtered_reference;
+  let rack_std_of sym =
+    Model.compile (Formulation.build ~rack_level:true sym kept).Formulation.model
+  in
+  check_std_equal (rack_std_of filtered) (rack_std_of filtered_reference)
 
 (* ---------- solve equivalence across pricing rules ---------- *)
 

@@ -42,13 +42,13 @@ let test_place_and_stop () =
   let in_use = Allocator.servers_in_use alloc in
   List.iter
     (fun sid ->
-      Alcotest.(check bool) "broker marked in use" true (Broker.record broker sid).Broker.in_use)
+      Alcotest.(check bool) "broker marked in use" true (Broker.in_use_at broker sid))
     in_use;
   Allocator.stop_job alloc job;
   Alcotest.(check int) "stopped" 0 (Allocator.placed_containers alloc);
   List.iter
     (fun sid ->
-      Alcotest.(check bool) "in_use cleared" false (Broker.record broker sid).Broker.in_use)
+      Alcotest.(check bool) "in_use cleared" false (Broker.in_use_at broker sid))
     in_use
 
 let test_wrong_reservation_rejected () =
@@ -97,7 +97,7 @@ let test_spread_across_msbs () =
     (fun c ->
       match Allocator.server_of_container alloc c with
       | Some sid ->
-        let msb = (Broker.record broker sid).Broker.server.Region.loc.Region.msb in
+        let msb = (Broker.region broker).Region.servers.(sid).Region.loc.Region.msb in
         Hashtbl.replace msbs msb ()
       | None -> ())
     (Job.containers job);
@@ -118,7 +118,7 @@ let test_failure_replacement () =
 
 let test_failure_without_capacity_goes_pending () =
   let broker, alloc = setup ~owned:1 () in
-  let hw = (Broker.record broker 0).Broker.server.Region.hw in
+  let hw = (Broker.region broker).Region.servers.(0).Region.hw in
   let job = Job.make ~id:6 ~reservation:1 ~replicas:1 ~rru_per_replica:(rru_of hw) () in
   (match Allocator.place_job alloc job with Ok () -> () | Error e -> Alcotest.fail e);
   Broker.mark_down broker 0 Unavail.Unplanned_hw;
@@ -156,7 +156,7 @@ let test_greedy_fulfill_and_release () =
   Alcotest.(check bool) "servers bound" true (List.length owned > 0);
   (* greedy takes servers in pool order: concentrated in early MSBs *)
   let msbs =
-    List.map (fun sid -> (Broker.record broker sid).Broker.server.Region.loc.Region.msb) owned
+    List.map (fun sid -> (Broker.region broker).Region.servers.(sid).Region.loc.Region.msb) owned
     |> List.sort_uniq compare
   in
   Alcotest.(check bool) "concentrated placement" true (List.length msbs <= 3);
@@ -179,7 +179,7 @@ let test_greedy_skips_unacceptable_hw () =
   ignore (Greedy.fulfill broker [ req ]);
   List.iter
     (fun sid ->
-      let hw = (Broker.record broker sid).Broker.server.Region.hw in
+      let hw = (Broker.region broker).Region.servers.(sid).Region.hw in
       Alcotest.(check bool) "only storage hardware" true (hw.Hw.category = Hw.Storage))
     (Broker.servers_with_owner broker (Broker.Reservation 2))
 
